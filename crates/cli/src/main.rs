@@ -26,6 +26,7 @@ use hq_db::{Database, Fact, Interner};
 use hq_query::{
     is_hierarchical, non_hierarchical_witness, parse_query, plan, witness_forest, Query,
 };
+use hq_unify::pqe::PqeSession;
 use hq_unify::script::{
     parse_command, parse_script, render_command, strip_comment, ScriptCommand, UpdateAction,
 };
@@ -137,6 +138,11 @@ fn parse_query_arg(src: &str) -> Result<Query, String> {
 /// `--storage` is an accepted alias — the compressed tier makes the
 /// flag as much about physical layout as about algorithmic backend.
 pub(crate) fn backend_arg(args: &Args) -> Result<Backend, String> {
+    for key in ["backend", "storage"] {
+        if args.flag(key) {
+            return Err(format!("--{key} expects a value (map|columnar|compressed)"));
+        }
+    }
     match args.get("backend").or_else(|| args.get("storage")) {
         Some(name) => name.parse(),
         None => Ok(Backend::default()),
@@ -148,6 +154,9 @@ pub(crate) fn backend_arg(args: &Args) -> Result<Backend, String> {
 /// Warms the persistent worker pool immediately, so no evaluation —
 /// not even the first — spawns a thread on its own clock.
 pub(crate) fn threads_arg(args: &Args) -> Result<Parallelism, String> {
+    if args.flag("threads") {
+        return Err("--threads expects a value (N|max)".into());
+    }
     let par: Parallelism = match args.get("threads") {
         Some(n) => n.parse()?,
         None => Parallelism::default(),
@@ -282,12 +291,118 @@ fn cmd_pqe(args: &Args) -> Result<String, String> {
     }
 }
 
+/// A one-database PQE serving session on the storage tier selected by
+/// `--backend` and `--threads`. Serve mode replays a mixed script
+/// against it; incremental mode is the same session with one
+/// registered query.
+enum Session {
+    Map(PqeSession<hq_unify::MapRelation<f64>>),
+    Columnar(PqeSession),
+    Sharded(PqeSession<hq_unify::ShardedColumnar<f64>>),
+    Compressed(PqeSession<hq_unify::CompressedColumnar<f64>>),
+}
+
+/// Forwards one accessor through the four session variants.
+macro_rules! on_session {
+    ($session:expr, $s:ident => $body:expr) => {
+        match $session {
+            Session::Map($s) => $body,
+            Session::Columnar($s) => $body,
+            Session::Sharded($s) => $body,
+            Session::Compressed($s) => $body,
+        }
+    };
+}
+
+impl Session {
+    fn open(
+        interner: &Interner,
+        tid: &[(Fact, f64)],
+        backend: Backend,
+        par: Parallelism,
+    ) -> Result<Session, String> {
+        Ok(match (backend, par.is_parallel()) {
+            (Backend::Map, _) => {
+                Session::Map(PqeSession::new(interner, tid).map_err(|e| e.to_string())?)
+            }
+            (Backend::Columnar, false) => {
+                Session::Columnar(PqeSession::new(interner, tid).map_err(|e| e.to_string())?)
+            }
+            (Backend::Columnar, true) => Session::Sharded(
+                PqeSession::with_parallelism(interner, tid, par).map_err(|e| e.to_string())?,
+            ),
+            // The compressed kernels are sequential; the thread count
+            // only affects the worker pool the other tiers shard over.
+            (Backend::Compressed, _) => {
+                Session::Compressed(PqeSession::new(interner, tid).map_err(|e| e.to_string())?)
+            }
+        })
+    }
+
+    fn query(
+        &mut self,
+        i: &Interner,
+        q: &hq_query::Query,
+    ) -> Result<(f64, hq_unify::EngineStats), String> {
+        on_session!(self, s => s.query(i, q)).map_err(|e| e.to_string())
+    }
+    fn reachability(
+        &mut self,
+        i: &Interner,
+        rel: &str,
+        src: Option<hq_db::Value>,
+        dst: Option<hq_db::Value>,
+    ) -> Result<(f64, hq_unify::EngineStats), String> {
+        on_session!(self, s => s.reachability(i, rel, src, dst)).map_err(|e| e.to_string())
+    }
+    fn update_batch(&mut self, i: &Interner, batch: &[(Fact, f64)]) -> Result<(), String> {
+        on_session!(self, s => s.update_batch(i, batch).map(|_| ())).map_err(|e| e.to_string())
+    }
+    fn ops_performed(&self) -> u64 {
+        on_session!(self, s => s.session().ops_performed())
+    }
+    fn cached_nodes(&self) -> usize {
+        on_session!(self, s => s.session().cached_nodes())
+    }
+    fn set_cache_budget(&mut self, budget: usize) {
+        on_session!(self, s => s.set_cache_budget(Some(budget)));
+    }
+    fn set_spill(&mut self, enabled: bool) -> bool {
+        on_session!(self, s => s.set_spill(enabled))
+    }
+    fn evictions(&self) -> u64 {
+        on_session!(self, s => s.session().evictions())
+    }
+    fn cached_rows(&self) -> usize {
+        on_session!(self, s => s.session().cached_rows())
+    }
+    fn cached_bytes(&self) -> usize {
+        on_session!(self, s => s.session().cached_bytes())
+    }
+    fn cached_dense_bytes(&self) -> usize {
+        on_session!(self, s => s.session().cached_dense_bytes())
+    }
+    fn spilled_bytes(&self) -> usize {
+        on_session!(self, s => s.session().spilled_bytes())
+    }
+    fn spill_writes(&self) -> u64 {
+        on_session!(self, s => s.session().spill_writes())
+    }
+    fn spill_reloads(&self) -> u64 {
+        on_session!(self, s => s.session().spill_reloads())
+    }
+    fn lower_hits(&self) -> u64 {
+        on_session!(self, s => s.session().lower_hits())
+    }
+}
+
 /// `hq pqe --mode incremental --updates FILE [--batch N]`: replays a
 /// newline-delimited update script — one `R(v1, …) [@ p]` per line, a
 /// missing weight meaning `1`, `@ 0` deleting, and facts the database
-/// never held inserting — against the maintained run, printing the
-/// probability trajectory. `--batch N` coalesces every `N` consecutive
-/// updates into one propagation pass.
+/// never held inserting — against a serving session with one
+/// registered query, printing the probability trajectory. Each chunk of
+/// `--batch N` consecutive updates (default 1) is one `update_batch`
+/// repair pass followed by one query.
 fn cmd_pqe_incremental(
     args: &Args,
     q: &Query,
@@ -322,56 +437,15 @@ fn cmd_pqe_incremental(
             }
         }
     }
-    // The three maintained-run flavours share only their update loop;
-    // a tiny closure-based dispatch keeps the trajectory logic single.
-    enum Maintained {
-        Map(hq_unify::IncrementalPqe),
-        Columnar(hq_unify::IncrementalPqe<hq_unify::ColumnarRelation<f64>>),
-        Sharded(hq_unify::IncrementalPqe<hq_unify::ShardedColumnar<f64>>),
-        Compressed(hq_unify::IncrementalPqe<hq_unify::CompressedColumnar<f64>>),
-    }
-    impl Maintained {
-        fn apply(&mut self, i: &Interner, batch: &[(Fact, f64)]) -> Result<f64, String> {
-            match self {
-                Maintained::Map(r) => r.update_batch(i, batch),
-                Maintained::Columnar(r) => r.update_batch(i, batch),
-                Maintained::Sharded(r) => r.update_batch(i, batch),
-                Maintained::Compressed(r) => r.update_batch(i, batch),
-            }
-            .map_err(|e| e.to_string())
-        }
-        fn probability(&self) -> f64 {
-            match self {
-                Maintained::Map(r) => r.probability(),
-                Maintained::Columnar(r) => r.probability(),
-                Maintained::Sharded(r) => r.probability(),
-                Maintained::Compressed(r) => r.probability(),
-            }
-        }
-    }
-    let mut run = match (backend, par.is_parallel()) {
-        (Backend::Map, _) => Maintained::Map(
-            hq_unify::IncrementalPqe::new(q, interner, tid).map_err(|e| e.to_string())?,
-        ),
-        (Backend::Columnar, false) => Maintained::Columnar(
-            hq_unify::IncrementalPqe::columnar(q, interner, tid).map_err(|e| e.to_string())?,
-        ),
-        (Backend::Columnar, true) => Maintained::Sharded(
-            hq_unify::IncrementalPqe::sharded(q, interner, tid, par).map_err(|e| e.to_string())?,
-        ),
-        // The compressed kernels are sequential; the thread count only
-        // affects the worker pool the other tiers shard over.
-        (Backend::Compressed, _) => Maintained::Compressed(
-            hq_unify::IncrementalPqe::compressed(q, interner, tid).map_err(|e| e.to_string())?,
-        ),
-    };
-    let mut out = format!("P(Q) = {:.9}\n", run.probability());
+    let mut session = Session::open(interner, tid, backend, par)?;
+    let mut out = format!("P(Q) = {:.9}\n", session.query(interner, q)?.0);
     for batch in updates.chunks(batch_size) {
         let writes: Vec<(Fact, f64)> = batch
             .iter()
             .map(|(f, a)| (f.clone(), a.prob_weight()))
             .collect();
-        let p = run.apply(interner, &writes)?;
+        session.update_batch(interner, &writes)?;
+        let (p, _) = session.query(interner, q)?;
         let label: Vec<String> = batch
             .iter()
             .map(|(f, a)| render_command(&ScriptCommand::Update(f.clone(), a.clone()), interner))
@@ -398,7 +472,6 @@ fn cmd_pqe_serve(
     backend: Backend,
     par: Parallelism,
 ) -> Result<String, String> {
-    use hq_unify::pqe::PqeSession;
     let path = args.require("script")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     // The shared script grammar (`hq_unify::script`) — the same parser
@@ -406,96 +479,7 @@ fn cmd_pqe_serve(
     // consume. The serving session is probability-monoid: a delete and
     // a zero weight coincide (`0` means absent).
     let script: Vec<ScriptCommand> = parse_script(&text, path, interner)?;
-    enum Session {
-        Map(PqeSession<hq_unify::MapRelation<f64>>),
-        Columnar(PqeSession),
-        Sharded(PqeSession<hq_unify::ShardedColumnar<f64>>),
-        Compressed(PqeSession<hq_unify::CompressedColumnar<f64>>),
-    }
-    /// Forwards one accessor through the four session variants.
-    macro_rules! on_session {
-        ($session:expr, $s:ident => $body:expr) => {
-            match $session {
-                Session::Map($s) => $body,
-                Session::Columnar($s) => $body,
-                Session::Sharded($s) => $body,
-                Session::Compressed($s) => $body,
-            }
-        };
-    }
-    impl Session {
-        fn query(
-            &mut self,
-            i: &Interner,
-            q: &hq_query::Query,
-        ) -> Result<(f64, hq_unify::EngineStats), String> {
-            on_session!(self, s => s.query(i, q)).map_err(|e| e.to_string())
-        }
-        fn reachability(
-            &mut self,
-            i: &Interner,
-            rel: &str,
-            src: Option<hq_db::Value>,
-            dst: Option<hq_db::Value>,
-        ) -> Result<(f64, hq_unify::EngineStats), String> {
-            on_session!(self, s => s.reachability(i, rel, src, dst)).map_err(|e| e.to_string())
-        }
-        fn update_batch(&mut self, i: &Interner, batch: &[(Fact, f64)]) -> Result<(), String> {
-            on_session!(self, s => s.update_batch(i, batch).map(|_| ())).map_err(|e| e.to_string())
-        }
-        fn ops_performed(&self) -> u64 {
-            on_session!(self, s => s.session().ops_performed())
-        }
-        fn cached_nodes(&self) -> usize {
-            on_session!(self, s => s.session().cached_nodes())
-        }
-        fn set_cache_budget(&mut self, budget: usize) {
-            on_session!(self, s => s.set_cache_budget(Some(budget)));
-        }
-        fn set_spill(&mut self, enabled: bool) -> bool {
-            on_session!(self, s => s.set_spill(enabled))
-        }
-        fn evictions(&self) -> u64 {
-            on_session!(self, s => s.session().evictions())
-        }
-        fn cached_rows(&self) -> usize {
-            on_session!(self, s => s.session().cached_rows())
-        }
-        fn cached_bytes(&self) -> usize {
-            on_session!(self, s => s.session().cached_bytes())
-        }
-        fn cached_dense_bytes(&self) -> usize {
-            on_session!(self, s => s.session().cached_dense_bytes())
-        }
-        fn spilled_bytes(&self) -> usize {
-            on_session!(self, s => s.session().spilled_bytes())
-        }
-        fn spill_writes(&self) -> u64 {
-            on_session!(self, s => s.session().spill_writes())
-        }
-        fn spill_reloads(&self) -> u64 {
-            on_session!(self, s => s.session().spill_reloads())
-        }
-        fn lower_hits(&self) -> u64 {
-            on_session!(self, s => s.session().lower_hits())
-        }
-    }
-    let mut session = match (backend, par.is_parallel()) {
-        (Backend::Map, _) => {
-            Session::Map(PqeSession::new(interner, tid).map_err(|e| e.to_string())?)
-        }
-        (Backend::Columnar, false) => {
-            Session::Columnar(PqeSession::columnar(interner, tid).map_err(|e| e.to_string())?)
-        }
-        (Backend::Columnar, true) => {
-            Session::Sharded(PqeSession::sharded(interner, tid, par).map_err(|e| e.to_string())?)
-        }
-        // The compressed kernels are sequential; the thread count only
-        // affects the worker pool the other tiers shard over.
-        (Backend::Compressed, _) => {
-            Session::Compressed(PqeSession::compressed(interner, tid).map_err(|e| e.to_string())?)
-        }
-    };
+    let mut session = Session::open(interner, tid, backend, par)?;
     if let Some(n) = args.get("cache-rows") {
         let budget: usize = n
             .parse()
@@ -881,6 +865,31 @@ mod tests {
         args.extend(["--threads", "zero"]);
         let err = run_strs(&args).unwrap_err();
         assert!(err.contains("invalid thread count"), "{err}");
+    }
+
+    #[test]
+    fn valueless_backend_is_an_error() {
+        let db = write_temp("novalue_b.facts", "E(1,2) @ 0.5\n");
+        let err =
+            run_strs(&["pqe", "--query", "Q() :- E(X,Y)", "--db", &db, "--backend"]).unwrap_err();
+        assert!(err.contains("--backend expects a value"), "{err}");
+    }
+
+    #[test]
+    fn valueless_storage_is_an_error() {
+        let db = write_temp("novalue_s.facts", "E(1,2) @ 0.5\n");
+        // A following option is not a value either.
+        let err =
+            run_strs(&["pqe", "--query", "Q() :- E(X,Y)", "--storage", "--db", &db]).unwrap_err();
+        assert!(err.contains("--storage expects a value"), "{err}");
+    }
+
+    #[test]
+    fn valueless_threads_is_an_error() {
+        let db = write_temp("novalue_t.facts", "E(1,2) @ 0.5\n");
+        let err =
+            run_strs(&["pqe", "--query", "Q() :- E(X,Y)", "--db", &db, "--threads"]).unwrap_err();
+        assert!(err.contains("--threads expects a value"), "{err}");
     }
 
     #[test]

@@ -275,6 +275,24 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, String> {
     ))
 }
 
+/// One occupied `--max-sessions` slot. Dropping it frees the slot, so
+/// a connection handler that panics (say, on a poisoned lock) unwinds
+/// through the release instead of leaking the slot.
+struct SessionSlot(Arc<AtomicUsize>);
+
+impl SessionSlot {
+    fn claim(active: &Arc<AtomicUsize>) -> SessionSlot {
+        active.fetch_add(1, Ordering::SeqCst);
+        SessionSlot(Arc::clone(active))
+    }
+}
+
+impl Drop for SessionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Accepts connections until a handler observes `shutdown`. One thread
 /// per **connection** — never per request; all query evaluation inside
 /// a connection fans out over the shared worker pool warmed at server
@@ -302,15 +320,14 @@ fn serve_loop(
             continue;
         }
         served += 1;
-        active.fetch_add(1, Ordering::SeqCst);
+        let slot = SessionSlot::claim(&active);
         let session = server.session();
         let server = server.clone();
         let interner = interner.clone();
         let stop = stop.clone();
-        let active = active.clone();
         handles.push(std::thread::spawn(move || {
+            let _slot = slot;
             let _ = handle_conn(stream, &server, session, &interner, &stop);
-            active.fetch_sub(1, Ordering::SeqCst);
             if stop.load(Ordering::SeqCst) {
                 // Wake the acceptor so it observes the stop flag.
                 let _ = TcpStream::connect(addr);
@@ -448,6 +465,19 @@ mod tests {
         let interner = Arc::new(RwLock::new(interner));
         let handle = std::thread::spawn(move || serve_loop(listener, &server, &interner, 2));
         (addr, handle)
+    }
+
+    #[test]
+    fn panicking_handler_releases_its_session_slot() {
+        let active = Arc::new(AtomicUsize::new(0));
+        let slot = SessionSlot::claim(&active);
+        assert_eq!(active.load(Ordering::SeqCst), 1);
+        let handler = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("handler panicked mid-connection");
+        });
+        assert!(handler.join().is_err(), "the handler thread panicked");
+        assert_eq!(active.load(Ordering::SeqCst), 0, "slot released on unwind");
     }
 
     fn roundtrip(addr: std::net::SocketAddr, lines: &[&str]) -> Vec<String> {

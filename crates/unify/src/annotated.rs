@@ -262,8 +262,7 @@ pub(crate) fn duplicate_error(
 }
 
 /// Builds a K-annotated database on the ordered-map backend — the
-/// historical entry point, kept because the oracle paths and the
-/// point-update-heavy incremental maintainer default to it.
+/// historical entry point, kept because the oracle paths default to it.
 ///
 /// # Errors
 /// Returns [`AnnotateError`] on arity mismatches or duplicate facts.

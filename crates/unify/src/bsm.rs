@@ -13,12 +13,8 @@
 use crate::engine::{
     evaluate_columnar_par, evaluate_compressed_par, evaluate_on_par, EngineStats, UnifyError,
 };
-use crate::incremental::{IncrementalError, IncrementalRun};
 use crate::serving::{ServingBackend, ServingError, ServingSession, UpdateOutcome};
-use crate::storage::{
-    Backend, ColumnarRelation, CompressedColumnar, MapRelation, Parallelism, ShardedColumnar,
-    Storage,
-};
+use crate::storage::{Backend, ColumnarRelation, Parallelism};
 use hq_db::{Database, Fact, Interner};
 use hq_monoid::{BagMaxMonoid, BudgetVec, TwoMonoid};
 use hq_query::Query;
@@ -213,151 +209,6 @@ pub enum PsiClass {
     Repair,
     /// The fact is in neither database: annotation `0` (absent).
     Absent,
-}
-
-/// An incrementally-maintained Bag-Set Maximization instance: build
-/// the ψ-annotated pipeline once for `(Q, D, D_r, θ)`, then move facts
-/// between `D`, `D_r` and absence ([`IncrementalBsm::set_fact`]) in
-/// time proportional to the dirty groups touched. The maintained
-/// budget curve stays identical to a fresh [`maximize`] run of the
-/// current state. The budget `θ` is fixed at construction (it sizes
-/// the monoid's truncated vectors).
-pub struct IncrementalBsm<R: Storage<Ann = BudgetVec> = MapRelation<BudgetVec>> {
-    monoid: BagMaxMonoid,
-    run: IncrementalRun<BagMaxMonoid, R>,
-}
-
-impl IncrementalBsm<MapRelation<BudgetVec>> {
-    /// Builds the maintained instance on the ordered-map backend.
-    ///
-    /// # Errors
-    /// Rejects non-hierarchical queries and schema mismatches.
-    pub fn new(
-        q: &Query,
-        interner: &Interner,
-        d: &Database,
-        d_r: &Database,
-        theta: usize,
-    ) -> Result<Self, IncrementalError> {
-        let monoid = BagMaxMonoid::new(theta);
-        let facts = psi_encoding(&monoid, d, d_r);
-        let run = IncrementalRun::with_storage(monoid, q, interner, facts)?;
-        Ok(IncrementalBsm { monoid, run })
-    }
-}
-
-impl IncrementalBsm<ColumnarRelation<BudgetVec>> {
-    /// Builds the maintained instance on the columnar backend.
-    ///
-    /// # Errors
-    /// Rejects non-hierarchical queries and schema mismatches.
-    pub fn columnar(
-        q: &Query,
-        interner: &Interner,
-        d: &Database,
-        d_r: &Database,
-        theta: usize,
-    ) -> Result<Self, IncrementalError> {
-        let monoid = BagMaxMonoid::new(theta);
-        let facts = psi_encoding(&monoid, d, d_r);
-        let run = IncrementalRun::with_storage(monoid, q, interner, facts)?;
-        Ok(IncrementalBsm { monoid, run })
-    }
-}
-
-impl IncrementalBsm<CompressedColumnar<BudgetVec>> {
-    /// Builds the maintained instance on the compressed columnar
-    /// backend (block-encoded code matrices).
-    ///
-    /// # Errors
-    /// Rejects non-hierarchical queries and schema mismatches.
-    pub fn compressed(
-        q: &Query,
-        interner: &Interner,
-        d: &Database,
-        d_r: &Database,
-        theta: usize,
-    ) -> Result<Self, IncrementalError> {
-        let monoid = BagMaxMonoid::new(theta);
-        let facts = psi_encoding(&monoid, d, d_r);
-        let run = IncrementalRun::with_storage(monoid, q, interner, facts)?;
-        Ok(IncrementalBsm { monoid, run })
-    }
-}
-
-impl IncrementalBsm<ShardedColumnar<BudgetVec>> {
-    /// Builds the maintained instance on the sharded columnar backend
-    /// at the given [`Parallelism`] degree.
-    ///
-    /// # Errors
-    /// Rejects non-hierarchical queries and schema mismatches.
-    pub fn sharded(
-        q: &Query,
-        interner: &Interner,
-        d: &Database,
-        d_r: &Database,
-        theta: usize,
-        par: Parallelism,
-    ) -> Result<Self, IncrementalError> {
-        let monoid = BagMaxMonoid::new(theta);
-        let facts = psi_encoding(&monoid, d, d_r);
-        let run = IncrementalRun::with_parallelism(monoid, q, interner, facts, par)?;
-        Ok(IncrementalBsm { monoid, run })
-    }
-}
-
-impl<R: Storage<Ann = BudgetVec>> IncrementalBsm<R> {
-    /// The current budget curve: `curve().get(i)` is the best
-    /// achievable `Q(D')` with ≤ `i` added facts.
-    pub fn curve(&self) -> &BudgetVec {
-        self.run.result()
-    }
-
-    /// Re-classifies one fact (ψ-annotation `1̄`, `★` or `0`) and
-    /// returns the new budget curve. Unseen facts over query relations
-    /// are admitted on the fly.
-    ///
-    /// # Errors
-    /// Rejects facts over relations the query does not mention.
-    pub fn set_fact(
-        &mut self,
-        interner: &Interner,
-        fact: &Fact,
-        class: PsiClass,
-    ) -> Result<&BudgetVec, IncrementalError> {
-        let ann = self.psi(class);
-        self.run.update(interner, fact, ann)
-    }
-
-    /// Re-classifies a batch of facts in one propagation pass (later
-    /// entries for the same fact win) and returns the new curve.
-    ///
-    /// # Errors
-    /// See [`IncrementalBsm::set_fact`]; all-or-nothing on rejection.
-    pub fn set_batch(
-        &mut self,
-        interner: &Interner,
-        changes: &[(Fact, PsiClass)],
-    ) -> Result<&BudgetVec, IncrementalError> {
-        let batch: Vec<(Fact, BudgetVec)> = changes
-            .iter()
-            .map(|(f, c)| (f.clone(), self.psi(*c)))
-            .collect();
-        self.run.update_batch(interner, &batch)
-    }
-
-    /// The underlying maintained run (work accounting, replayed stats).
-    pub fn run(&self) -> &IncrementalRun<BagMaxMonoid, R> {
-        &self.run
-    }
-
-    fn psi(&self, class: PsiClass) -> BudgetVec {
-        match class {
-            PsiClass::Base => self.monoid.one(),
-            PsiClass::Repair => self.monoid.star(),
-            PsiClass::Absent => self.monoid.zero(),
-        }
-    }
 }
 
 /// A multi-query Bag-Set Maximization serving session over one
@@ -573,6 +424,7 @@ pub fn maximize_with_repair_par(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::{CompressedColumnar, MapRelation, ShardedColumnar};
     use hq_db::{count_matches, db_from_ints, Tuple};
     use hq_query::{example_query, q_non_hierarchical, Query};
 
@@ -732,8 +584,12 @@ mod tests {
     fn incremental_bsm_tracks_fresh_maximize() {
         let (d, d_r, i) = fig1();
         let q = example_query();
-        let mut inc = IncrementalBsm::new(&q, &i, &d, &d_r, 2).unwrap();
-        assert_eq!(inc.curve(), &maximize(&q, &i, &d, &d_r, 2).unwrap().curve);
+        let mut inc = BsmSession::<MapRelation<BudgetVec>>::new(&i, &d, &d_r, 2).unwrap();
+        let curve = |s: &mut BsmSession<MapRelation<BudgetVec>>| s.query(&i, &q).unwrap().curve;
+        assert_eq!(
+            curve(&mut inc),
+            maximize(&q, &i, &d, &d_r, 2).unwrap().curve
+        );
         // Promote a repair candidate into the base database: the curve
         // must match a fresh run over the moved fact.
         let bought = Tuple::ints(&[1, 6]);
@@ -742,7 +598,10 @@ mod tests {
         inc.set_fact(&i, &fact, PsiClass::Base).unwrap();
         let mut d2 = d.clone();
         d2.insert(fact.clone());
-        assert_eq!(inc.curve(), &maximize(&q, &i, &d2, &d_r, 2).unwrap().curve);
+        assert_eq!(
+            curve(&mut inc),
+            maximize(&q, &i, &d2, &d_r, 2).unwrap().curve
+        );
         // Retract it entirely; D_r loses the candidate.
         inc.set_fact(&i, &fact, PsiClass::Absent).unwrap();
         let mut dr2 = Database::new();
@@ -751,27 +610,42 @@ mod tests {
                 dr2.insert(f);
             }
         }
-        assert_eq!(inc.curve(), &maximize(&q, &i, &d, &dr2, 2).unwrap().curve);
-        // A batched reclassification equals the serial one, and the
-        // columnar/sharded wrappers agree with the map wrapper.
+        assert_eq!(
+            curve(&mut inc),
+            maximize(&q, &i, &d, &dr2, 2).unwrap().curve
+        );
+        // A further reclassification lands identically on the
+        // columnar, compressed and sharded sessions.
         let t = i.get("T").unwrap();
-        let batch = vec![
+        let changes = [
             (fact.clone(), PsiClass::Repair),
             (Fact::new(t, Tuple::ints(&[1, 2, 9])), PsiClass::Base),
         ];
-        let mut col = IncrementalBsm::columnar(&q, &i, &d, &dr2, 2).unwrap();
-        let mut sh = IncrementalBsm::sharded(
-            &q,
+        let mut col: BsmSession = BsmSession::new(&i, &d, &dr2, 2).unwrap();
+        let mut cmp = BsmSession::<CompressedColumnar<BudgetVec>>::new(&i, &d, &dr2, 2).unwrap();
+        let mut sh = BsmSession::<ShardedColumnar<BudgetVec>>::with_parallelism(
             &i,
             &d,
             &dr2,
             2,
-            crate::storage::Parallelism::fine_grained(2),
+            Parallelism::fine_grained(2),
         )
         .unwrap();
-        let want = inc.set_batch(&i, &batch).unwrap().clone();
-        assert_eq!(col.set_batch(&i, &batch).unwrap(), &want);
-        assert_eq!(sh.set_batch(&i, &batch).unwrap(), &want);
+        for (f, class) in &changes {
+            inc.set_fact(&i, f, *class).unwrap();
+            col.set_fact(&i, f, *class).unwrap();
+            cmp.set_fact(&i, f, *class).unwrap();
+            sh.set_fact(&i, f, *class).unwrap();
+        }
+        let want = curve(&mut inc);
+        let mut d3 = d.clone();
+        d3.insert(changes[1].0.clone());
+        let mut dr3 = dr2.clone();
+        dr3.insert(fact.clone());
+        assert_eq!(want, maximize(&q, &i, &d3, &dr3, 2).unwrap().curve);
+        assert_eq!(col.query(&i, &q).unwrap().curve, want);
+        assert_eq!(cmp.query(&i, &q).unwrap().curve, want);
+        assert_eq!(sh.query(&i, &q).unwrap().curve, want);
     }
 
     #[test]

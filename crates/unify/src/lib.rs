@@ -21,9 +21,7 @@
 //! over a [`storage::Storage`] backend:
 //!
 //! * [`storage::MapRelation`] — the ordered-map layout
-//!   (`BTreeMap<Tuple, K>`): the deterministic differential oracle,
-//!   and the default for the point-update-heavy [`incremental`]
-//!   maintainer;
+//!   (`BTreeMap<Tuple, K>`): the deterministic differential oracle;
 //! * [`storage::ColumnarRelation`] — the columnar layout: dense sorted
 //!   row-major matrices of dictionary codes
 //!   ([`hq_db::ValueDict`]) with a parallel annotation column. Rule 1
@@ -51,7 +49,7 @@
 //! [`Parallelism`] degree in its `*_par` variant
 //! ([`pqe::probability_par`], [`bsm::maximize_par`],
 //! [`shapley::shapley_values_par`],
-//! [`IncrementalRun::with_parallelism`], …), and the CLI exposes
+//! [`ServingSession::with_parallelism`], …), and the CLI exposes
 //! `--threads N|max`. Shard kernels run on a persistent process-wide
 //! work-stealing worker [`pool`] (warmed once, zero thread spawns per
 //! rule application afterwards); the general-column argsort runs as a
@@ -74,22 +72,13 @@
 //! multi-query server: queries are lowered onto a hash-consed plan IR
 //! ([`plan_ir`]) so overlapping queries evaluate each common sub-plan
 //! **once per backend** (a repeated query performs zero monoid ops),
-//! and `update`/`update_batch` calls delta-refresh the encoding,
-//! patch cached scans in place, and invalidate only the cached
-//! intermediates whose input relations changed — with every served
-//! value and [`EngineStats`] bit-identical to independent fresh
-//! evaluation (pinned by `tests/differential_serving.rs`).
-//!
-//! ## Incremental serving
-//!
-//! [`IncrementalRun`] maintains a materialised pipeline under
-//! annotation updates, batched updates and dynamic fact inserts,
-//! refolding dirty groups through the delta-indexed
-//! [`storage::Storage::group_rows`] lookup in time proportional to the
-//! dirty set — bit-identical to fresh evaluation on every backend and
-//! thread count. Typed front-ends: [`pqe::IncrementalPqe`],
-//! [`bsm::IncrementalBsm`], [`shapley::IncrementalSatCounts`]; the CLI
-//! exposes `--mode incremental --updates FILE`.
+//! and `update`/`update_batch` calls delta-refresh the encoding and
+//! delta-patch the cached pipeline in place (dirty Rule 1 groups
+//! refold, dirty Rule 2 keys re-derive) — the crate's one maintenance
+//! path under updates, with every served value and [`EngineStats`]
+//! bit-identical to independent fresh evaluation (pinned by
+//! `tests/differential_serving.rs` and
+//! `tests/differential_incremental.rs`).
 //!
 //! ```
 //! use hq_db::{db_from_ints};
@@ -129,7 +118,6 @@ pub mod annotated;
 pub mod bsm;
 pub mod engine;
 pub mod fixpoint;
-pub mod incremental;
 pub mod plan_ir;
 pub mod pool;
 pub mod pqe;
@@ -143,9 +131,7 @@ pub mod storage;
 pub use annotated::{
     annotate, annotate_columnar, annotate_with, AnnotateError, AnnotatedDb, AnnotatedRelation,
 };
-pub use bsm::{
-    maximize, maximize_with_repair, BsmRepairSolution, BsmSolution, IncrementalBsm, PsiClass,
-};
+pub use bsm::{maximize, maximize_with_repair, BsmRepairSolution, BsmSolution, PsiClass};
 pub use engine::{
     evaluate, evaluate_compressed_par, evaluate_encoded, evaluate_on, evaluate_on_par, run_plan,
     EngineStats, UnifyError,
@@ -154,11 +140,9 @@ pub use fixpoint::{
     patch_inserts, semi_naive, transitive_closure, transitive_closure_on, validate_fixpoint,
     FixSpec, FixpointError, FixpointRun, PatchOutcome, PatchStats, StepShape,
 };
-pub use incremental::{coalesce_batches, IncrementalError, IncrementalRun, UpdateStats};
 pub use plan_ir::{lower, LoweredQuery, PlanExpr, PlanId, PlanIr};
 pub use pqe::{
-    expected_count, probability, probability_exact, reachability, reachability_on, IncrementalPqe,
-    PqeError,
+    expected_count, probability, probability_exact, reachability, reachability_on, PqeError,
 };
 pub use provenance::{provenance_tree, Provenance};
 pub use script::{parse_command, parse_script, render_command, ScriptCommand, UpdateAction};
@@ -166,10 +150,16 @@ pub use server::{
     CommitReceipt, CommitTicket, EpochState, Server, Session, WritePolicy, WriteStats,
 };
 pub use serving::{ServingBackend, ServingError, ServingSession, UpdateOutcome};
-pub use shapley::{
-    sat_counts, shapley_value, shapley_values, FactRole, IncrementalSatCounts, ShapleyError,
-};
+pub use shapley::{sat_counts, shapley_value, shapley_values, FactRole, ShapleyError};
 pub use storage::{
     Backend, ColumnarRelation, CompressedAnn, CompressedBuilder, CompressedColumnar, EncodedDb,
     MapRelation, Parallelism, RefreshOutcome, ShardedColumnar, Storage,
 };
+
+/// Maintenance under update schedules, driven through one-query
+/// [`ServingSession`]s — the single delta-patch path that the typed
+/// sessions, the server and the CLI's `--mode incremental` share.
+#[cfg(test)]
+mod incremental {
+    mod tests;
+}

@@ -10,12 +10,8 @@ use crate::engine::{
     evaluate_columnar_par, evaluate_compressed_par, evaluate_on_par, EngineStats, UnifyError,
 };
 use crate::fixpoint::{transitive_closure, transitive_closure_on, FixpointRun};
-use crate::incremental::{IncrementalError, IncrementalRun};
 use crate::serving::{ServingBackend, ServingError, ServingSession, UpdateOutcome};
-use crate::storage::{
-    Backend, ColumnarRelation, CompressedColumnar, MapRelation, Parallelism, ShardedColumnar,
-    Storage,
-};
+use crate::storage::{Backend, ColumnarRelation, Parallelism};
 use hq_arith::Rational;
 use hq_db::{Fact, Interner, Tuple, Value};
 use hq_monoid::{ExactProbMonoid, ProbMonoid, TwoMonoid};
@@ -32,8 +28,6 @@ pub enum PqeError {
     },
     /// Planning or annotation failed.
     Unify(UnifyError),
-    /// An incremental update was rejected.
-    Incremental(IncrementalError),
     /// A serving-session call was rejected.
     Serving(ServingError),
 }
@@ -45,7 +39,6 @@ impl fmt::Display for PqeError {
                 write!(f, "probability {value} outside [0, 1]")
             }
             PqeError::Unify(e) => write!(f, "{e}"),
-            PqeError::Incremental(e) => write!(f, "{e}"),
             PqeError::Serving(e) => write!(f, "{e}"),
         }
     }
@@ -56,12 +49,6 @@ impl std::error::Error for PqeError {}
 impl From<UnifyError> for PqeError {
     fn from(e: UnifyError) -> Self {
         PqeError::Unify(e)
-    }
-}
-
-impl From<IncrementalError> for PqeError {
-    fn from(e: IncrementalError) -> Self {
-        PqeError::Incremental(e)
     }
 }
 
@@ -422,120 +409,6 @@ pub fn reachability_on(
     Ok((fix_readout(&run, src, dst), run.stats))
 }
 
-/// An incrementally-maintained PQE instance: build once over a
-/// tuple-independent database, then stream probability updates,
-/// deletions (probability `0`) and genuinely new facts, each served in
-/// time proportional to the dirty groups it touches — not `|D|`.
-/// The maintained probability stays **bit-identical** to a fresh
-/// [`probability`] evaluation of the current state, on every backend.
-pub struct IncrementalPqe<R: Storage<Ann = f64> = MapRelation<f64>> {
-    run: IncrementalRun<ProbMonoid, R>,
-}
-
-impl IncrementalPqe<MapRelation<f64>> {
-    /// Builds the maintained instance on the ordered-map backend (the
-    /// point-update oracle).
-    ///
-    /// # Errors
-    /// Rejects non-hierarchical queries, schema mismatches, and
-    /// probabilities outside `[0, 1]`.
-    pub fn new(q: &Query, interner: &Interner, tid: &[(Fact, f64)]) -> Result<Self, PqeError> {
-        validate(tid)?;
-        let run = IncrementalRun::with_storage(ProbMonoid, q, interner, tid.iter().cloned())?;
-        Ok(IncrementalPqe { run })
-    }
-}
-
-impl IncrementalPqe<ColumnarRelation<f64>> {
-    /// Builds the maintained instance on the columnar backend.
-    ///
-    /// # Errors
-    /// See [`IncrementalPqe::new`].
-    pub fn columnar(q: &Query, interner: &Interner, tid: &[(Fact, f64)]) -> Result<Self, PqeError> {
-        validate(tid)?;
-        let run = IncrementalRun::with_storage(ProbMonoid, q, interner, tid.iter().cloned())?;
-        Ok(IncrementalPqe { run })
-    }
-}
-
-impl IncrementalPqe<CompressedColumnar<f64>> {
-    /// Builds the maintained instance on the compressed columnar
-    /// backend (block-encoded code matrices; point updates rewrite one
-    /// block at a time).
-    ///
-    /// # Errors
-    /// See [`IncrementalPqe::new`].
-    pub fn compressed(
-        q: &Query,
-        interner: &Interner,
-        tid: &[(Fact, f64)],
-    ) -> Result<Self, PqeError> {
-        validate(tid)?;
-        let run = IncrementalRun::with_storage(ProbMonoid, q, interner, tid.iter().cloned())?;
-        Ok(IncrementalPqe { run })
-    }
-}
-
-impl IncrementalPqe<ShardedColumnar<f64>> {
-    /// Builds the maintained instance on the sharded columnar backend:
-    /// the initial materialisation runs shard-parallel at the given
-    /// [`Parallelism`] degree; results stay bit-identical.
-    ///
-    /// # Errors
-    /// See [`IncrementalPqe::new`].
-    pub fn sharded(
-        q: &Query,
-        interner: &Interner,
-        tid: &[(Fact, f64)],
-        par: Parallelism,
-    ) -> Result<Self, PqeError> {
-        validate(tid)?;
-        let run =
-            IncrementalRun::with_parallelism(ProbMonoid, q, interner, tid.iter().cloned(), par)?;
-        Ok(IncrementalPqe { run })
-    }
-}
-
-impl<R: Storage<Ann = f64>> IncrementalPqe<R> {
-    /// The current `P(Q = true)`.
-    pub fn probability(&self) -> f64 {
-        *self.run.result()
-    }
-
-    /// Updates one fact's probability (`0` deletes; unseen facts over
-    /// query relations are admitted) and returns the new probability.
-    ///
-    /// # Errors
-    /// Rejects probabilities outside `[0, 1]` and facts over relations
-    /// the query does not mention.
-    pub fn update(&mut self, interner: &Interner, fact: &Fact, p: f64) -> Result<f64, PqeError> {
-        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-            return Err(PqeError::InvalidProbability { value: p });
-        }
-        Ok(*self.run.update(interner, fact, p)?)
-    }
-
-    /// Applies a batch of probability updates in one propagation pass
-    /// (later entries for the same fact win) and returns the new
-    /// probability.
-    ///
-    /// # Errors
-    /// See [`IncrementalPqe::update`]; all-or-nothing on rejection.
-    pub fn update_batch(
-        &mut self,
-        interner: &Interner,
-        updates: &[(Fact, f64)],
-    ) -> Result<f64, PqeError> {
-        validate(updates)?;
-        Ok(*self.run.update_batch(interner, updates)?)
-    }
-
-    /// The underlying maintained run (work accounting, replayed stats).
-    pub fn run(&self) -> &IncrementalRun<ProbMonoid, R> {
-        &self.run
-    }
-}
-
 /// A multi-query PQE serving session: one tuple-independent database,
 /// many (possibly overlapping) probability queries, interleaved
 /// probability updates. The PQE front-end *builds plans* into the
@@ -547,55 +420,13 @@ pub struct PqeSession<R: ServingBackend<Ann = f64> = ColumnarRelation<f64>> {
     session: ServingSession<ProbMonoid, R>,
 }
 
-impl PqeSession<MapRelation<f64>> {
-    /// Builds the session on the ordered-map oracle backend.
+impl<R: ServingBackend<Ann = f64>> PqeSession<R> {
+    /// Builds the session with an explicit [`Parallelism`] degree
+    /// (meaningful on the sharded backend; bit-identical everywhere).
     ///
     /// # Errors
     /// Rejects probabilities outside `[0, 1]` and inconsistent arities.
-    pub fn new(interner: &Interner, tid: &[(Fact, f64)]) -> Result<Self, PqeError> {
-        validate(tid)?;
-        Ok(PqeSession {
-            session: ServingSession::new(ProbMonoid, interner, tid.iter().cloned())?,
-        })
-    }
-}
-
-impl PqeSession<ColumnarRelation<f64>> {
-    /// Builds the session on the columnar backend (the fast path:
-    /// scans assemble from the cached [`crate::EncodedDb`] codes).
-    ///
-    /// # Errors
-    /// Rejects probabilities outside `[0, 1]` and inconsistent arities.
-    pub fn columnar(interner: &Interner, tid: &[(Fact, f64)]) -> Result<Self, PqeError> {
-        validate(tid)?;
-        Ok(PqeSession {
-            session: ServingSession::new(ProbMonoid, interner, tid.iter().cloned())?,
-        })
-    }
-}
-
-impl PqeSession<CompressedColumnar<f64>> {
-    /// Builds the session on the compressed columnar backend: cached
-    /// nodes hold block-encoded matrices, and eviction victims may
-    /// spill to disk ([`PqeSession::set_spill`]).
-    ///
-    /// # Errors
-    /// Rejects probabilities outside `[0, 1]` and inconsistent arities.
-    pub fn compressed(interner: &Interner, tid: &[(Fact, f64)]) -> Result<Self, PqeError> {
-        validate(tid)?;
-        Ok(PqeSession {
-            session: ServingSession::new(ProbMonoid, interner, tid.iter().cloned())?,
-        })
-    }
-}
-
-impl PqeSession<ShardedColumnar<f64>> {
-    /// Builds the session on the sharded columnar backend at the given
-    /// [`Parallelism`] degree; results stay bit-identical.
-    ///
-    /// # Errors
-    /// Rejects probabilities outside `[0, 1]` and inconsistent arities.
-    pub fn sharded(
+    pub fn with_parallelism(
         interner: &Interner,
         tid: &[(Fact, f64)],
         par: Parallelism,
@@ -610,9 +441,15 @@ impl PqeSession<ShardedColumnar<f64>> {
             )?,
         })
     }
-}
 
-impl<R: ServingBackend<Ann = f64>> PqeSession<R> {
+    /// Builds the session sequentially.
+    ///
+    /// # Errors
+    /// Rejects probabilities outside `[0, 1]` and inconsistent arities.
+    pub fn new(interner: &Interner, tid: &[(Fact, f64)]) -> Result<Self, PqeError> {
+        Self::with_parallelism(interner, tid, Parallelism::default())
+    }
+
     /// Evaluates `P(Q = true)` for one query, sharing sub-plans with
     /// every query this session has served.
     ///
@@ -719,6 +556,7 @@ impl<R: ServingBackend<Ann = f64>> PqeSession<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::{CompressedColumnar, MapRelation, ShardedColumnar};
     use hq_db::db_from_ints;
     use hq_query::{example_query, q_hierarchical, q_non_hierarchical, Query};
 
@@ -843,25 +681,37 @@ mod tests {
             ("F", &[&[2, 9], &[3, 8], &[3, 9]]),
         ]);
         let tid = tid_uniform(&db, 0.5);
-        let mut map = IncrementalPqe::new(&q, &i, &tid).unwrap();
-        let mut col = IncrementalPqe::columnar(&q, &i, &tid).unwrap();
-        let mut sh = IncrementalPqe::sharded(&q, &i, &tid, Parallelism::fine_grained(3)).unwrap();
+        let mut map = PqeSession::<MapRelation<f64>>::new(&i, &tid).unwrap();
+        let mut col = PqeSession::<ColumnarRelation<f64>>::new(&i, &tid).unwrap();
+        let mut cmp = PqeSession::<CompressedColumnar<f64>>::new(&i, &tid).unwrap();
+        let mut sh = PqeSession::<ShardedColumnar<f64>>::with_parallelism(
+            &i,
+            &tid,
+            Parallelism::fine_grained(3),
+        )
+        .unwrap();
         let mut current = tid.clone();
         current[0].1 = 0.8;
         current[3].1 = 0.1;
         let batch = vec![(current[0].0.clone(), 0.8), (current[3].0.clone(), 0.1)];
         let fresh = probability(&q, &i, &current).unwrap();
-        for p in [
-            map.update_batch(&i, &batch).unwrap(),
-            col.update_batch(&i, &batch).unwrap(),
-            sh.update_batch(&i, &batch).unwrap(),
+        map.update_batch(&i, &batch).unwrap();
+        col.update_batch(&i, &batch).unwrap();
+        cmp.update_batch(&i, &batch).unwrap();
+        sh.update_batch(&i, &batch).unwrap();
+        for (p, _) in [
+            map.query(&i, &q).unwrap(),
+            col.query(&i, &q).unwrap(),
+            cmp.query(&i, &q).unwrap(),
+            sh.query(&i, &q).unwrap(),
         ] {
             assert_eq!(p.to_bits(), fresh.to_bits());
         }
         // Invalid probabilities are rejected before any state changes.
-        let before = map.probability();
+        let before = map.session().facts();
         assert!(map.update(&i, &tid[0].0, 1.5).is_err());
-        assert_eq!(map.probability().to_bits(), before.to_bits());
+        assert!(map.update_batch(&i, &[(tid[1].0.clone(), -0.5)]).is_err());
+        assert_eq!(map.session().facts(), before);
     }
 
     #[test]
@@ -873,9 +723,14 @@ mod tests {
             ("F", &[&[2, 9], &[3, 8], &[3, 9]]),
         ]);
         let tid = tid_uniform(&db, 0.5);
-        let mut map = PqeSession::new(&i, &tid).unwrap();
-        let mut col = PqeSession::columnar(&i, &tid).unwrap();
-        let mut sh = PqeSession::sharded(&i, &tid, Parallelism::fine_grained(2)).unwrap();
+        let mut map = PqeSession::<MapRelation<f64>>::new(&i, &tid).unwrap();
+        let mut col: PqeSession = PqeSession::new(&i, &tid).unwrap();
+        let mut sh = PqeSession::<ShardedColumnar<f64>>::with_parallelism(
+            &i,
+            &tid,
+            Parallelism::fine_grained(2),
+        )
+        .unwrap();
         for q in [&q_full, &q_sub] {
             let (want, want_stats) =
                 probability_with_stats_on(Backend::Columnar, q, &i, &tid).unwrap();

@@ -35,8 +35,7 @@
 //!   batch fails on its own [`CommitTicket`] without poisoning
 //!   anyone) and pushes it onto a bounded commit queue; the first
 //!   ticket-waiter to acquire commit leadership drains *every*
-//!   pending batch, coalesces them last-write-wins
-//!   ([`crate::incremental::coalesce_batches`] — the per-batch
+//!   pending batch, coalesces them last-write-wins (the per-batch
 //!   dirty-key coalescing lifted across sessions), runs **one**
 //!   delta-patch pass and publishes **one** epoch for the whole
 //!   group. Within the pass the committer first *adopts* any
@@ -74,7 +73,6 @@
 use crate::annotated::AnnotateError;
 use crate::engine::EngineStats;
 use crate::fixpoint::{semi_naive, validate_fixpoint_in, FixpointError, FixpointRun};
-use crate::incremental::coalesce_batches;
 use crate::plan_ir::{LoweredQuery, PlanExpr, PlanId};
 use crate::serving::{
     query_shape, QueryShape, ServingBackend, ServingError, ServingSession, UpdateOutcome,
@@ -92,6 +90,29 @@ use std::time::Duration;
 /// The writer's session id in shared-cache owner tags (real sessions
 /// start at 1).
 const WRITER: u64 = 0;
+
+/// Coalesces several update batches into one serial-replay-equivalent
+/// batch: for every fact the **last** write across the concatenation
+/// wins, and the surviving entries keep the order of each fact's first
+/// occurrence (deterministic regardless of how the batches were
+/// produced). The group-commit pipeline merges every queued writer's
+/// batch this way into a single delta-patch pass, so a fact
+/// overwritten by a later batch in the group is refolded once at its
+/// final value instead of once per batch.
+fn coalesce_batches<E: Clone>(batches: &[&[(Fact, E)]]) -> Vec<(Fact, E)> {
+    let mut index: BTreeMap<&Fact, usize> = BTreeMap::new();
+    let mut out: Vec<(Fact, E)> = Vec::new();
+    for (fact, value) in batches.iter().flat_map(|b| b.iter()) {
+        match index.get(fact) {
+            Some(&at) => out[at].1 = value.clone(),
+            None => {
+                index.insert(fact, out.len());
+                out.push((fact.clone(), value.clone()));
+            }
+        }
+    }
+    out
+}
 
 /// One immutable published snapshot: everything a reader needs to
 /// evaluate queries without taking the master lock. Readers holding an

@@ -31,7 +31,7 @@
 //! dictionary once and surviving cached matrices are *translated*
 //! through the old→new code map — the code numbering moved, not the
 //! data), and then **delta-patches** the whole cached pipeline through
-//! the incremental refold machinery: cached scan nodes take point
+//! the delta-indexed group refold: cached scan nodes take point
 //! writes, dirty `Project` nodes refold exactly their dirty Rule 1
 //! groups ([`Storage::group_rows_key`], per-group folds sequential so
 //! the ⊕ sequence matches the batch kernels bit for bit), and dirty
@@ -53,8 +53,8 @@ use crate::engine::EngineStats;
 use crate::fixpoint::{
     patch_inserts, semi_naive, validate_fixpoint, FixpointError, FixpointRun, PatchOutcome,
 };
-use crate::incremental::refold_groups;
 use crate::plan_ir::{lower, LoweredQuery, PlanExpr, PlanId, PlanIr};
+use crate::pool;
 use crate::storage::{
     ColumnarRelation, CompressedAnn, CompressedColumnar, EncodedDb, MapRelation, Parallelism,
     RefreshOutcome, ShardedColumnar, Storage,
@@ -507,6 +507,86 @@ impl<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> ServingBackend f
         // Tuples carry their values directly: there is no code space
         // to move (and `USES_ENCODING` keeps this path unreached).
     }
+}
+
+/// Folds one gathered group run with the monoid's (possibly dense)
+/// run fold: leader element out, tail via [`TwoMonoid::fold_assign`].
+/// Element-for-element identical to the `add_assign` loop. Returns
+/// the unpruned accumulator (`None` for an empty group) and the
+/// member-row count; the caller prunes zeros with the monoid's
+/// predicate and accounts the `rows − 1` ⊕ applications.
+fn fold_run<M: TwoMonoid>(monoid: &M, mut run: Vec<M::Elem>) -> (Option<M::Elem>, usize) {
+    let rows = run.len();
+    if rows == 0 {
+        return (None, 0);
+    }
+    let mut acc = std::mem::replace(&mut run[0], monoid.zero());
+    monoid.fold_assign(&mut acc, &run[1..]);
+    (Some(acc), rows)
+}
+
+/// One pool task's worth of refolded groups: `(fold, rows_folded)`
+/// per group, in group order.
+type FoldedChunk<E> = Vec<(Option<E>, usize)>;
+
+/// Refolds a batch of dirty Rule 1 groups — the delta-indexed repair
+/// kernel of the cached `Project` patches — sharding the work across
+/// the persistent worker [`pool`] when the dirty set is large. Member
+/// rows are gathered sequentially on the caller's thread via
+/// [`Storage::group_rows_key`] in ascending full-key order (the
+/// storage borrow stays local), so a dirty group of size `g` costs
+/// `O(log |D| + g)`; only the owned annotation runs move into pool
+/// tasks. Groups are chunked **contiguously in group order**, each
+/// group's fold stays sequential, and chunk results are flattened back
+/// in submission order — so the ⊕ sequence reproduces the batch
+/// engine's fold bit for bit at every thread count.
+fn refold_groups<M, R>(
+    monoid: &M,
+    input: &R,
+    keep: &[usize],
+    groups: &[R::Key],
+    par: Parallelism,
+) -> FoldedChunk<M::Elem>
+where
+    M: TwoMonoid,
+    R: Storage<Ann = M::Elem>,
+{
+    let runs: Vec<Vec<M::Elem>> = groups
+        .iter()
+        .map(|g| input.group_rows_key(keep, g))
+        .collect();
+    let total_rows: usize = runs.iter().map(Vec::len).sum();
+    let chunks = par
+        .threads
+        .min(groups.len())
+        .min((total_rows / par.min_shard_rows()).max(1));
+    if chunks <= 1 {
+        return runs.into_iter().map(|run| fold_run(monoid, run)).collect();
+    }
+    // Whole-group chunks with the same balanced bounds as shard
+    // splitting; reverse split_off keeps every chunk contiguous.
+    let mut tail = runs;
+    let mut chunked: Vec<Vec<Vec<M::Elem>>> = Vec::with_capacity(chunks);
+    for c in (0..chunks).rev() {
+        chunked.push(tail.split_off(groups.len() * c / chunks));
+    }
+    chunked.reverse();
+    let tasks: Vec<pool::BatchTask<FoldedChunk<M::Elem>>> = chunked
+        .into_iter()
+        .map(|chunk| {
+            let monoid = monoid.clone();
+            Box::new(move || {
+                chunk
+                    .into_iter()
+                    .map(|run| fold_run(&monoid, run))
+                    .collect()
+            }) as pool::BatchTask<_>
+        })
+        .collect();
+    pool::run_batch(chunks, tasks)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// A multi-query serving session over one annotated database. See the
@@ -969,8 +1049,7 @@ where
     /// touched relations get new dirty epochs, the [`EncodedDb`]
     /// re-encodes only the changed relations, cached scan nodes take
     /// point patches, and dirty cached intermediates are
-    /// **delta-patched in place** through the incremental refold
-    /// machinery — `Project` nodes refold exactly their dirty Rule 1
+    /// **delta-patched in place** — `Project` nodes refold exactly their dirty Rule 1
     /// groups, `Join` nodes re-derive exactly their dirty keys, with
     /// recorded op counts maintained to fresh-evaluation-exact. A
     /// delta touching more than [`ServingSession::patch_fraction`] of

@@ -16,9 +16,8 @@
 //! exact [`Rational`]s.
 
 use crate::engine::{evaluate_on_par, UnifyError};
-use crate::incremental::{IncrementalError, IncrementalRun};
 use crate::serving::{ServingBackend, ServingError, ServingSession, UpdateOutcome};
-use crate::storage::{Backend, MapRelation, Parallelism, Storage};
+use crate::storage::{Backend, Parallelism};
 use hq_arith::{binomial, shapley_weight, Natural, Rational};
 use hq_db::{Fact, Interner};
 use hq_monoid::{SatCountMonoid, SatVec, TwoMonoid};
@@ -203,89 +202,6 @@ pub enum FactRole {
     Absent,
 }
 
-/// An incrementally-maintained `#Sat` vector — the Shapley substrate of
-/// Theorem 5.16: `counts().t[k]` is the number of size-`k` endogenous
-/// subsets satisfying `Q`, maintained under facts moving between
-/// exogenous, endogenous and absent ([`IncrementalSatCounts::set_fact`])
-/// in time proportional to the dirty groups touched.
-///
-/// The vector is truncated at the `capacity` fixed at construction (it
-/// sizes the monoid), so the current endogenous count must stay
-/// ≤ `capacity`. Unlike [`sat_counts`], facts over relations the query
-/// does not mention are rejected rather than folded in as a free
-/// binomial choice — callers owning invisible facts convolve them on
-/// top, exactly as [`sat_counts`] does.
-pub struct IncrementalSatCounts<R: Storage<Ann = SatVec> = MapRelation<SatVec>> {
-    monoid: SatCountMonoid,
-    run: IncrementalRun<SatCountMonoid, R>,
-}
-
-impl IncrementalSatCounts<MapRelation<SatVec>> {
-    /// Builds the maintained instance on the ordered-map backend with
-    /// vectors truncated at `capacity` (the largest endogenous set the
-    /// instance will ever hold).
-    ///
-    /// # Errors
-    /// Rejects overlapping parts, non-hierarchical queries, and schema
-    /// mismatches.
-    pub fn new(
-        q: &Query,
-        interner: &Interner,
-        exogenous: &[Fact],
-        endogenous: &[Fact],
-        capacity: usize,
-    ) -> Result<Self, IncrementalError> {
-        if let Err(ShapleyError::OverlappingParts { fact }) =
-            check_disjoint(interner, exogenous, endogenous)
-        {
-            return Err(IncrementalError::Annotate(
-                crate::annotated::AnnotateError::DuplicateFact { fact },
-            ));
-        }
-        let monoid = SatCountMonoid::new(capacity);
-        let mut facts: Vec<(Fact, SatVec)> = Vec::with_capacity(exogenous.len() + endogenous.len());
-        for f in exogenous {
-            facts.push((f.clone(), monoid.one()));
-        }
-        for f in endogenous {
-            facts.push((f.clone(), monoid.star()));
-        }
-        let run = IncrementalRun::with_storage(monoid, q, interner, facts)?;
-        Ok(IncrementalSatCounts { monoid, run })
-    }
-}
-
-impl<R: Storage<Ann = SatVec>> IncrementalSatCounts<R> {
-    /// The current `#Sat` vector (truncated at the capacity).
-    pub fn counts(&self) -> &SatVec {
-        self.run.result()
-    }
-
-    /// Re-classifies one fact and returns the new `#Sat` vector.
-    /// Unseen facts over query relations are admitted on the fly.
-    ///
-    /// # Errors
-    /// Rejects facts over relations the query does not mention.
-    pub fn set_fact(
-        &mut self,
-        interner: &Interner,
-        fact: &Fact,
-        role: FactRole,
-    ) -> Result<&SatVec, IncrementalError> {
-        let ann = match role {
-            FactRole::Exogenous => self.monoid.one(),
-            FactRole::Endogenous => self.monoid.star(),
-            FactRole::Absent => self.monoid.zero(),
-        };
-        self.run.update(interner, fact, ann)
-    }
-
-    /// The underlying maintained run (work accounting, replayed stats).
-    pub fn run(&self) -> &IncrementalRun<SatCountMonoid, R> {
-        &self.run
-    }
-}
-
 /// A multi-query `#Sat` serving session — the Shapley substrate as a
 /// plan builder: many (possibly overlapping) queries over one
 /// exogenous/endogenous split share intermediate relations through the
@@ -294,7 +210,8 @@ impl<R: Storage<Ann = SatVec>> IncrementalSatCounts<R> {
 /// Returned vectors and [`crate::EngineStats`] are bit-identical to a
 /// fresh [`sat_counts`] run of the current state (for queries
 /// mentioning every endogenous relation — invisible facts are the
-/// caller's binomial convolution, as with [`IncrementalSatCounts`]).
+/// caller's binomial convolution on top, exactly as [`sat_counts`]
+/// folds them in).
 pub struct SatSession<R: ServingBackend<Ann = SatVec> = crate::ColumnarRelation<SatVec>> {
     monoid: SatCountMonoid,
     session: ServingSession<SatCountMonoid, R>,
@@ -560,6 +477,7 @@ pub fn shapley_values_par(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::MapRelation;
     use hq_db::db_from_ints;
     use hq_query::{q_hierarchical, q_non_hierarchical, Query};
 
@@ -729,8 +647,11 @@ mod tests {
         let (db, i) = db_from_ints(&[("E", &[&[1, 2], &[1, 3]]), ("F", &[&[2, 9], &[3, 8]])]);
         let endo = db.facts();
         let n = endo.len();
-        let mut inc = IncrementalSatCounts::new(&q, &i, &[], &endo, n).unwrap();
-        assert_eq!(inc.counts(), &sat_counts(&q, &i, &[], &endo).unwrap());
+        let mut inc = SatSession::<MapRelation<SatVec>>::new(&i, &[], &endo, n).unwrap();
+        assert_eq!(
+            inc.query(&i, &q).unwrap(),
+            sat_counts(&q, &i, &[], &endo).unwrap()
+        );
         // Promote one fact to exogenous: compare to a fresh run over
         // the same split, padded to the construction capacity (the
         // fresh vector is sized by |D_n|, the maintained one by the
@@ -738,14 +659,15 @@ mod tests {
         let (exo, rest) = (vec![endo[0].clone()], endo[1..].to_vec());
         inc.set_fact(&i, &endo[0], FactRole::Exogenous).unwrap();
         let fresh = sat_counts(&q, &i, &exo, &rest).unwrap();
-        assert_eq!(inc.counts().t[..fresh.t.len()], fresh.t);
-        assert!(inc.counts().t[fresh.t.len()..].iter().all(Natural::is_zero));
+        let got = inc.query(&i, &q).unwrap();
+        assert_eq!(got.t[..fresh.t.len()], fresh.t);
+        assert!(got.t[fresh.t.len()..].iter().all(Natural::is_zero));
         // Delete it outright.
         inc.set_fact(&i, &endo[0], FactRole::Absent).unwrap();
         let fresh = sat_counts(&q, &i, &[], &rest).unwrap();
-        assert_eq!(inc.counts().t[..fresh.t.len()], fresh.t);
+        assert_eq!(inc.query(&i, &q).unwrap().t[..fresh.t.len()], fresh.t);
         // Overlapping parts are rejected at construction.
-        assert!(IncrementalSatCounts::new(&q, &i, &endo[..1], &endo, n).is_err());
+        assert!(SatSession::<MapRelation<SatVec>>::new(&i, &endo[..1], &endo, n).is_err());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! No `Tuple` is ever materialised on the hot path; decoding happens
 //! only in [`Storage::rows`] and the point-access methods used by the
-//! incremental maintainer.
+//! serving sessions' delta patches.
 
 use super::{DuplicateRow, OwnedSlot, Storage};
 use crate::engine::EngineStats;
@@ -509,25 +509,6 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage
             .collect()
     }
 
-    fn prepare_values(&mut self, values: &[Value]) -> bool {
-        if values.iter().all(|v| self.dict.code(*v).is_some()) {
-            return false; // dictionary already covers the batch
-        }
-        // One extension and one matrix remap for the whole batch —
-        // versus one of each per novel-value `set` call. Codes stay
-        // value-ordered (the bit-identity invariant), and because the
-        // extension is a deterministic function of (dictionary content,
-        // value set), applying it to every relation of an instance
-        // keeps their dictionary *contents* aligned, which is what
-        // makes code keys comparable across relations.
-        let (dict, translation) = self.dict.extend_with(values.iter().copied());
-        for c in &mut self.keys {
-            *c = translation[*c as usize];
-        }
-        self.dict = Arc::new(dict);
-        true
-    }
-
     fn storage_bytes(&self) -> usize {
         self.vars.len() * std::mem::size_of::<Var>()
             + self.keys.len() * std::mem::size_of::<RowCode>()
@@ -776,7 +757,7 @@ where
 impl<K> ColumnarRelation<K> {
     /// The contiguous row range whose leading columns equal `prefix`
     /// (two binary searches over the sorted matrix — the group-offset
-    /// lookup of the incremental refold path). The empty prefix spans
+    /// lookup of the serving sessions' dirty refolds). The empty prefix spans
     /// every row.
     fn prefix_range(&self, prefix: &[RowCode]) -> (usize, usize) {
         let w = self.width;

@@ -33,7 +33,7 @@
 use super::columnar::ColumnarRelation;
 use super::{DuplicateRow, OwnedSlot, Storage};
 use crate::engine::EngineStats;
-use hq_db::{RowCode, Tuple, Value, ValueDict};
+use hq_db::{RowCode, Tuple, ValueDict};
 use hq_monoid::TwoMonoid;
 use hq_query::Var;
 use std::cmp::{Ordering, Reverse};
@@ -1685,16 +1685,6 @@ where
             }
         }
         out
-    }
-
-    fn prepare_values(&mut self, values: &[Value]) -> bool {
-        if values.iter().all(|v| self.dict.code(*v).is_some()) {
-            return false;
-        }
-        let (dict, translation) = self.dict.extend_with(values.iter().copied());
-        let dict = Arc::new(dict);
-        self.remap_codes(&dict, &translation);
-        true
     }
 
     fn storage_bytes(&self) -> usize {

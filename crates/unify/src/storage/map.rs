@@ -3,8 +3,8 @@
 //!
 //! This is the seed engine's original layout, kept as the
 //! deterministic differential oracle and as the better layout for
-//! point-update-heavy workloads (the incremental maintainer touches
-//! `O(dirty)` keys per update here). Its weakness is exactly what the
+//! point-update-heavy workloads (a serving session's delta patch
+//! touches `O(dirty)` keys per update here). Its weakness is exactly what the
 //! columnar backend fixes: every projection allocates a fresh boxed
 //! key tuple and every insert pays an `O(log n)` tree walk.
 
@@ -234,10 +234,6 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage for
 
     fn group_rows_key(&self, keep: &[usize], group: &Tuple) -> Vec<K> {
         self.group_rows(keep, group)
-    }
-
-    fn prepare_values(&mut self, _values: &[Value]) -> bool {
-        false // no dictionary: tuples carry their values directly
     }
 
     fn storage_bytes(&self) -> usize {

@@ -4,7 +4,7 @@
 //! Rule 1 ⊕-aggregating projection and the Rule 2 ⊗-outer-join on
 //! identical variable sets — plus support-size accounting and the final
 //! nullary read-out. [`Storage`] captures exactly that contract, so the
-//! engine, the incremental maintainer, and every front-end are generic
+//! engine, the serving sessions' delta patches, and every front-end are generic
 //! over the physical layout:
 //!
 //! * [`MapRelation`] — the ordered-map backend (`BTreeMap<Tuple, K>`),
@@ -44,7 +44,7 @@ pub use map::MapRelation;
 pub use sharded::ShardedColumnar;
 
 use crate::engine::EngineStats;
-use hq_db::{Tuple, Value};
+use hq_db::Tuple;
 use hq_monoid::TwoMonoid;
 use hq_query::Var;
 use std::fmt;
@@ -242,19 +242,19 @@ pub trait Storage: Clone + fmt::Debug + Sized {
     /// The annotation carrier `K`.
     type Ann: Clone + PartialEq + fmt::Debug + Send + Sync + 'static + 'static;
 
-    /// The backend-native row key used by the incremental maintainer's
-    /// dirty sets: [`Tuple`] on the ordered-map oracle, a dictionary
-    /// code row (`Vec<RowCode>`) on the columnar layouts — so the dirty
-    /// walk compares/projects 4-byte codes instead of decoding and
+    /// The backend-native row key of the serving sessions' delta
+    /// patches: [`Tuple`] on the ordered-map oracle, a dictionary code
+    /// row (`Vec<RowCode>`) on the columnar layouts — so the dirty walk
+    /// compares/projects 4-byte codes instead of decoding and
     /// re-encoding boxed tuples at every probe.
     ///
     /// Code keys are only meaningful while every relation they flow
     /// between shares one dictionary *content*. The build paths
-    /// establish this (one instance-wide dictionary); a batch of
-    /// updates whose keys carry novel domain values must call
-    /// [`Storage::prepare_values`] on every live relation **before**
-    /// encoding keys, which keeps the contents aligned (and makes
-    /// [`Storage::set_key`] extension-free).
+    /// establish this (one instance-wide dictionary), and a session
+    /// extends it for novel domain values once per update batch,
+    /// translating every cached relation through the same code map
+    /// before encoding keys (which keeps [`Storage::set_key`]
+    /// extension-free).
     type Key: Ord + Clone + fmt::Debug;
 
     /// Builds one relation per `(vars, rows)` slot. `rows` are keyed in
@@ -307,19 +307,19 @@ pub trait Storage: Clone + fmt::Debug + Sized {
     fn nullary_value<M: TwoMonoid<Elem = Self::Ann>>(&self, monoid: &M) -> Self::Ann;
 
     /// Materialises the rows in ascending key order (diagnostics,
-    /// differential tests, and the incremental refold path).
+    /// differential tests, and fixpoint materialisation).
     fn rows(&self) -> Vec<(Tuple, Self::Ann)>;
 
     /// Point read of one key (in `vars` order).
     fn get(&self, key: &Tuple) -> Option<Self::Ann>;
 
     /// Point write: `Some(v)` inserts/overwrites, `None` deletes.
-    /// Used by the incremental maintainer; backends admit keys with
+    /// Backends admit keys with
     /// genuinely new domain values (the columnar layout extends its
     /// dictionary and renumbers, keeping codes value-ordered).
     fn set(&mut self, key: &Tuple, value: Option<Self::Ann>);
 
-    /// Group-range access for the incremental maintainer's dirty
+    /// Group-range access for the serving sessions' dirty Rule 1
     /// refolds: the annotations of every row whose projection onto the
     /// (strictly ascending) column positions `keep` equals `group`, in
     /// ascending full-key order — **exactly** the ⊕-fold sequence the
@@ -343,9 +343,9 @@ pub trait Storage: Clone + fmt::Debug + Sized {
 
     /// Encodes a key tuple (in `vars` order) into the backend-native
     /// [`Storage::Key`]. Returns `None` when a value lies outside the
-    /// backend's dictionary — after [`Storage::prepare_values`] covered
-    /// the batch this cannot happen, so the incremental maintainer
-    /// treats `None` as a contract violation.
+    /// backend's dictionary — after the session extended the shared
+    /// dictionary for the batch, only a delete of a never-stored key
+    /// can see `None`, and it is a no-op.
     fn key_of(&self, key: &Tuple) -> Option<Self::Key>;
 
     /// Projects a native key onto the (strictly ascending) column
@@ -364,14 +364,6 @@ pub trait Storage: Clone + fmt::Debug + Sized {
     /// Group-range access by native group key (see
     /// [`Storage::group_rows`]), skipping the per-probe tuple encode.
     fn group_rows_key(&self, keep: &[usize], group: &Self::Key) -> Vec<Self::Ann>;
-
-    /// Batch-level dictionary extension: admits every value of `values`
-    /// into the backend's dictionary **once**, remapping the relation's
-    /// code matrix a single time — instead of one extension (and one
-    /// full remap) per novel-value [`Storage::set`] call. Returns
-    /// `true` iff the dictionary actually grew (the ordered-map oracle
-    /// has no dictionary and always returns `false`).
-    fn prepare_values(&mut self, values: &[Value]) -> bool;
 
     /// Approximate resident payload bytes of this relation — keys,
     /// annotations and encoding metadata, excluding the shared value

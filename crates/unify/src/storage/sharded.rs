@@ -40,7 +40,7 @@ use super::columnar::{self, ColumnarRelation};
 use super::{DuplicateRow, OwnedSlot, Parallelism, Storage};
 use crate::engine::EngineStats;
 use crate::pool::{self, BatchTask};
-use hq_db::{RowCode, Tuple, Value};
+use hq_db::{RowCode, Tuple};
 use hq_monoid::TwoMonoid;
 use hq_query::Var;
 use std::fmt;
@@ -497,10 +497,6 @@ impl<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static + 'static> Storag
 
     fn group_rows_key(&self, keep: &[usize], group: &Vec<RowCode>) -> Vec<K> {
         self.inner.group_rows_key(keep, group)
-    }
-
-    fn prepare_values(&mut self, values: &[Value]) -> bool {
-        self.inner.prepare_values(values)
     }
 
     fn storage_bytes(&self) -> usize {

@@ -9,7 +9,10 @@ mod common;
 use common::random_instance;
 use hq_db::Fact;
 use hq_monoid::{BagMaxMonoid, CountMonoid, ProbMonoid, SatCountMonoid, TwoMonoid};
-use hq_unify::{bsm, evaluate_on, pqe, Backend, IncrementalRun};
+use hq_unify::{
+    bsm, evaluate_on, pqe, Backend, ColumnarRelation, CompressedColumnar, MapRelation,
+    ServingSession,
+};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -148,9 +151,9 @@ proptest! {
         prop_assert_eq!(&sm, &sz);
     }
 
-    /// The incremental maintainer stays bit-identical across backends
-    /// through a random update schedule (the compressed tier's point
-    /// writes go through block edits).
+    /// One-query serving sessions stay bit-identical across backends —
+    /// values and reported stats — through a random update schedule
+    /// (the compressed tier's point writes go through block edits).
     #[test]
     fn incremental_backends_agree(seed in 0u64..1_000_000) {
         let mut inst = random_instance(seed, 4, 4, 4, 3);
@@ -165,28 +168,37 @@ proptest! {
                 (f.clone(), p)
             })
             .collect();
-        let mut map_run =
-            IncrementalRun::new(ProbMonoid, &inst.query, &inst.interner, tid.clone()).unwrap();
-        let mut col_run: IncrementalRun<ProbMonoid, hq_unify::ColumnarRelation<f64>> =
-            IncrementalRun::with_storage(ProbMonoid, &inst.query, &inst.interner, tid.clone())
-                .unwrap();
-        let mut cmp_run: IncrementalRun<ProbMonoid, hq_unify::CompressedColumnar<f64>> =
-            IncrementalRun::with_storage(ProbMonoid, &inst.query, &inst.interner, tid)
-                .unwrap();
-        prop_assert_eq!(map_run.result().to_bits(), col_run.result().to_bits());
-        prop_assert_eq!(map_run.result().to_bits(), cmp_run.result().to_bits());
+        let (q, i) = (&inst.query, &inst.interner);
+        let mut map: ServingSession<ProbMonoid, MapRelation<f64>> =
+            ServingSession::new(ProbMonoid, i, tid.clone()).unwrap();
+        let mut col: ServingSession<ProbMonoid, ColumnarRelation<f64>> =
+            ServingSession::new(ProbMonoid, i, tid.clone()).unwrap();
+        let mut cmp: ServingSession<ProbMonoid, CompressedColumnar<f64>> =
+            ServingSession::new(ProbMonoid, i, tid).unwrap();
+        let (a, sa) = map.query(i, q).unwrap();
+        let (b, sb) = col.query(i, q).unwrap();
+        let (c, sc) = cmp.query(i, q).unwrap();
+        prop_assert_eq!(a.to_bits(), b.to_bits());
+        prop_assert_eq!(a.to_bits(), c.to_bits());
+        prop_assert_eq!(&sa, &sb);
+        prop_assert_eq!(&sa, &sc);
         for _ in 0..6 {
-            let f = &facts[inst.rng.gen_range(0..facts.len())];
+            let f = facts[inst.rng.gen_range(0..facts.len())].clone();
             let p = if inst.rng.gen_bool(0.25) {
                 0.0 // deletion
             } else {
                 inst.rng.gen_range(0.0..=1.0)
             };
-            let a = *map_run.update(&inst.interner, f, p).unwrap();
-            let b = *col_run.update(&inst.interner, f, p).unwrap();
-            let c = *cmp_run.update(&inst.interner, f, p).unwrap();
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "after {} := {}", f.display(&inst.interner), p);
-            prop_assert_eq!(a.to_bits(), c.to_bits(), "compressed after {} := {}", f.display(&inst.interner), p);
+            map.update(i, &f, p).unwrap();
+            col.update(i, &f, p).unwrap();
+            cmp.update(i, &f, p).unwrap();
+            let (a, sa) = map.query(i, q).unwrap();
+            let (b, sb) = col.query(i, q).unwrap();
+            let (c, sc) = cmp.query(i, q).unwrap();
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "after {} := {}", f.display(i), p);
+            prop_assert_eq!(a.to_bits(), c.to_bits(), "compressed after {} := {}", f.display(i), p);
+            prop_assert_eq!(&sa, &sb, "stats after {} := {}", f.display(i), p);
+            prop_assert_eq!(&sa, &sc, "compressed stats after {} := {}", f.display(i), p);
         }
     }
 

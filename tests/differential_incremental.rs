@@ -1,62 +1,80 @@
-//! Differential testing of the delta-indexed incremental maintainer:
-//! through arbitrary schedules of annotation updates, deletions and
-//! **dynamic inserts** (facts — and domain values — the run has never
-//! seen), the maintained result must agree **exactly** with a fresh
-//! batch evaluation of the current state — values bit-for-bit on
-//! floats, and the replayed [`EngineStats`] (support trajectory and
-//! ⊕/⊗ op counts) equal to the fresh run's — on the ordered-map
-//! oracle, the sequential columnar backend, and the sharded backend at
-//! several thread counts, across the probability, counting,
-//! Bag-Set-Maximization and `#Sat` monoid families.
+//! Differential testing of incremental maintenance through one-query
+//! [`ServingSession`]s: through arbitrary schedules of annotation
+//! updates, deletions and **dynamic inserts** (facts — and domain
+//! values — the session has never seen), each session's answer to its
+//! one registered query must agree **exactly** with a fresh batch
+//! evaluation of the current state — values bit-for-bit on floats, and
+//! the [`EngineStats`] the query reports (support trajectory and ⊕/⊗
+//! op counts) equal to the fresh run's — on the ordered-map oracle,
+//! the sequential columnar backend, the compressed tier, and the
+//! sharded backend at several thread counts, across the probability,
+//! counting, Bag-Set-Maximization and `#Sat` monoid families.
+//!
+//! While the state holds at most [`ORACLE_FACTS`] facts, the answers
+//! are also checked against the brute-force `hq_baselines` oracles
+//! (possible worlds, subset-enumeration BSM and `#Sat`), which share
+//! no code with the engine.
 //!
 //! Batched updates must be indistinguishable from serial ones, and the
-//! refold work of a batch is pinned to the dirty groups' sizes — the
+//! work of a single update is pinned to the dirty groups' sizes — the
 //! delta-indexed acceptance bar.
 
 mod common;
 
 use common::random_instance;
-use hq_db::{Fact, Tuple};
+use hq_arith::Natural;
+use hq_baselines::{bsm_bf, shapley_bf, worlds};
+use hq_db::{Database, Fact, Tuple};
 use hq_monoid::{BagMaxMonoid, CountMonoid, ProbMonoid, SatCountMonoid, TwoMonoid};
+use hq_query::Query;
 use hq_unify::engine::EngineStats;
-use hq_unify::{evaluate_on, Backend, IncrementalRun, Parallelism};
+use hq_unify::{
+    evaluate_on, Backend, ColumnarRelation, CompressedAnn, CompressedColumnar, MapRelation,
+    Parallelism, ServingSession, ShardedColumnar,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::BTreeMap;
 
-/// Thread counts for the sharded maintained runs.
+/// Thread counts for the sharded sessions.
 const THREADS: [usize; 2] = [2, 8];
 
-/// One maintained run per backend flavour, all fed the same schedule.
-struct Fleet<M: TwoMonoid> {
-    map: IncrementalRun<M, hq_unify::MapRelation<M::Elem>>,
-    columnar: IncrementalRun<M, hq_unify::ColumnarRelation<M::Elem>>,
-    sharded: Vec<IncrementalRun<M, hq_unify::ShardedColumnar<M::Elem>>>,
+/// The independent oracles run while the state holds at most this many
+/// facts (possible-world enumeration is exponential in it).
+const ORACLE_FACTS: usize = 12;
+
+/// One serving session per storage tier, each with the instance's
+/// query registered, all fed the same schedule.
+struct Fleet<M>
+where
+    M: TwoMonoid,
+    M::Elem: CompressedAnn,
+{
+    query: Query,
+    map: ServingSession<M, MapRelation<M::Elem>>,
+    columnar: ServingSession<M, ColumnarRelation<M::Elem>>,
+    compressed: ServingSession<M, CompressedColumnar<M::Elem>>,
+    sharded: Vec<ServingSession<M, ShardedColumnar<M::Elem>>>,
 }
 
-impl<M: TwoMonoid + Clone> Fleet<M> {
-    fn build(
-        monoid: &M,
-        q: &hq_query::Query,
-        interner: &hq_db::Interner,
-        facts: &[(Fact, M::Elem)],
-    ) -> Self {
-        Fleet {
-            map: IncrementalRun::with_storage(monoid.clone(), q, interner, facts.iter().cloned())
+impl<M> Fleet<M>
+where
+    M: TwoMonoid,
+    M::Elem: CompressedAnn,
+{
+    fn build(monoid: &M, q: &Query, interner: &hq_db::Interner, facts: &[(Fact, M::Elem)]) -> Self {
+        let mut fleet = Fleet {
+            query: q.clone(),
+            map: ServingSession::new(monoid.clone(), interner, facts.iter().cloned()).unwrap(),
+            columnar: ServingSession::new(monoid.clone(), interner, facts.iter().cloned()).unwrap(),
+            compressed: ServingSession::new(monoid.clone(), interner, facts.iter().cloned())
                 .unwrap(),
-            columnar: IncrementalRun::with_storage(
-                monoid.clone(),
-                q,
-                interner,
-                facts.iter().cloned(),
-            )
-            .unwrap(),
             sharded: THREADS
                 .iter()
                 .map(|&t| {
-                    IncrementalRun::with_parallelism(
+                    ServingSession::with_parallelism(
                         monoid.clone(),
-                        q,
                         interner,
                         facts.iter().cloned(),
                         Parallelism::fine_grained(t),
@@ -64,28 +82,48 @@ impl<M: TwoMonoid + Clone> Fleet<M> {
                     .unwrap()
                 })
                 .collect(),
-        }
+        };
+        // Register the query: every later batch delta-patches its
+        // cached pipeline instead of evaluating from scratch.
+        fleet.apply(interner, &[]);
+        fleet
     }
 
-    /// Applies one batch to every run and returns the (asserted-equal)
-    /// results of all runs.
+    /// Applies one batch to every session, re-serves the query, and
+    /// returns the (asserted-equal) value plus every session's stats.
     fn apply(
         &mut self,
         interner: &hq_db::Interner,
         batch: &[(Fact, M::Elem)],
     ) -> (M::Elem, Vec<EngineStats>) {
-        let expect = self.map.update_batch(interner, batch).unwrap().clone();
-        let mut stats = vec![self.map.replay_stats()];
-        let got = self.columnar.update_batch(interner, batch).unwrap();
-        assert_eq!(&expect, got, "columnar diverged");
-        stats.push(self.columnar.replay_stats());
-        for run in &mut self.sharded {
-            let got = run.update_batch(interner, batch).unwrap();
-            assert_eq!(&expect, got, "sharded diverged");
-            stats.push(run.replay_stats());
+        let q = &self.query;
+        self.map.update_batch(interner, batch).unwrap();
+        let (expect, st) = self.map.query(interner, q).unwrap();
+        let mut stats = vec![st];
+        self.columnar.update_batch(interner, batch).unwrap();
+        let (got, st) = self.columnar.query(interner, q).unwrap();
+        assert_eq!(expect, got, "columnar diverged");
+        stats.push(st);
+        self.compressed.update_batch(interner, batch).unwrap();
+        let (got, st) = self.compressed.query(interner, q).unwrap();
+        assert_eq!(expect, got, "compressed diverged");
+        stats.push(st);
+        for s in &mut self.sharded {
+            s.update_batch(interner, batch).unwrap();
+            let (got, st) = s.query(interner, q).unwrap();
+            assert_eq!(expect, got, "sharded diverged");
+            stats.push(st);
         }
         (expect, stats)
     }
+}
+
+/// Splits a two-class state (annotation `one` vs `star`) into the
+/// facts annotated `one` and the rest.
+fn split_by_one<K: PartialEq>(current: &BTreeMap<Fact, K>, one: &K) -> (Vec<Fact>, Vec<Fact>) {
+    let (ones, stars): (Vec<_>, Vec<_>) = current.iter().partition(|(_, k)| *k == one);
+    let facts = |v: Vec<(&Fact, &K)>| v.into_iter().map(|(f, _)| f.clone()).collect();
+    (facts(ones), facts(stars))
 }
 
 /// A random update schedule entry over the instance's query relations:
@@ -128,10 +166,7 @@ fn random_batch(
 
 /// Applies a batch to the model state (`current`) the fresh evaluation
 /// is run from: deletes drop the fact, writes upsert it.
-fn apply_to_model<K: Clone>(
-    current: &mut std::collections::BTreeMap<Fact, K>,
-    batch: &[(Fact, Option<K>)],
-) {
+fn apply_to_model<K: Clone>(current: &mut BTreeMap<Fact, K>, batch: &[(Fact, Option<K>)]) {
     for (fact, v) in batch {
         match v {
             None => {
@@ -145,7 +180,7 @@ fn apply_to_model<K: Clone>(
 }
 
 /// The query's relations as (symbol, arity), for generating inserts.
-fn query_rels(q: &hq_query::Query, interner: &hq_db::Interner) -> Vec<(hq_db::Sym, usize)> {
+fn query_rels(q: &Query, interner: &hq_db::Interner) -> Vec<(hq_db::Sym, usize)> {
     q.atoms()
         .iter()
         .filter_map(|a| interner.get(&a.rel).map(|s| (s, a.vars.len())))
@@ -166,7 +201,7 @@ proptest! {
             return Ok(());
         }
         let facts = inst.database.facts();
-        let mut current: std::collections::BTreeMap<Fact, f64> = facts
+        let mut current: BTreeMap<Fact, f64> = facts
             .iter()
             .map(|f| (f.clone(), inst.rng.gen_range(0.0..=1.0)))
             .collect();
@@ -193,6 +228,13 @@ proptest! {
                     prop_assert_eq!(st, &fresh_stats, "stats diverged on {}", inst.query);
                 }
             }
+            if list.len() <= ORACLE_FACTS {
+                let want = worlds::probability_exhaustive(&inst.query, &inst.interner, &list);
+                prop_assert!(
+                    (got - want).abs() <= 1e-9,
+                    "maintained {} vs possible worlds {} on {}", got, want, inst.query
+                );
+            }
         }
     }
 
@@ -206,7 +248,7 @@ proptest! {
             return Ok(());
         }
         let facts = inst.database.facts();
-        let mut current: std::collections::BTreeMap<Fact, u64> = facts
+        let mut current: BTreeMap<Fact, u64> = facts
             .iter()
             .map(|f| (f.clone(), inst.rng.gen_range(1u64..=3)))
             .collect();
@@ -246,7 +288,7 @@ proptest! {
         }
         let m = BagMaxMonoid::new(3);
         let facts = inst.database.facts();
-        let mut current: std::collections::BTreeMap<Fact, _> = facts
+        let mut current: BTreeMap<Fact, _> = facts
             .iter()
             .map(|f| {
                 let k = if inst.rng.gen_bool(0.5) { m.one() } else { m.star() };
@@ -275,6 +317,26 @@ proptest! {
             for st in &stats {
                 prop_assert_eq!(st, &fresh_stats, "stats diverged on {}", inst.query);
             }
+            if current.len() <= ORACLE_FACTS {
+                // ψ-encoding read backwards: `1̄` facts are D, `★` facts
+                // the repair candidates D_r \ D.
+                let (d, d_r) = split_by_one(&current, &m.one());
+                let db = |facts: Vec<Fact>| {
+                    let mut out = Database::new();
+                    for f in facts {
+                        out.insert(f);
+                    }
+                    out
+                };
+                let (d, d_r) = (db(d), db(d_r));
+                for theta in 0..got.len() {
+                    let want = bsm_bf::maximize_bruteforce(&inst.query, &inst.interner, &d, &d_r, theta);
+                    prop_assert_eq!(
+                        got.get(theta), want.optimum,
+                        "budget {} vs brute force on {}", theta, inst.query
+                    );
+                }
+            }
         }
     }
 
@@ -291,7 +353,7 @@ proptest! {
         // Capacity covers the initial facts plus every insert the
         // schedule can make (3 batches × ≤3 ops).
         let m = SatCountMonoid::new(facts.len() + 9);
-        let mut current: std::collections::BTreeMap<Fact, _> = facts
+        let mut current: BTreeMap<Fact, _> = facts
             .iter()
             .map(|f| {
                 let k = if inst.rng.gen_bool(0.5) { m.one() } else { m.star() };
@@ -320,6 +382,18 @@ proptest! {
             for st in &stats {
                 prop_assert_eq!(st, &fresh_stats, "stats diverged on {}", inst.query);
             }
+            if current.len() <= ORACLE_FACTS {
+                // `1` facts are exogenous, `★` facts endogenous; the
+                // maintained vector is truncated at the monoid's
+                // capacity, the brute-force one at |D_n|.
+                let (exo, endo) = split_by_one(&current, &m.one());
+                let want = shapley_bf::sat_counts_bruteforce(&inst.query, &inst.interner, &exo, &endo);
+                prop_assert_eq!(&got.t[..want.len()], &want[..], "#Sat on {}", inst.query);
+                prop_assert!(
+                    got.t[want.len()..].iter().all(Natural::is_zero),
+                    "#Sat beyond |D_n| on {}", inst.query
+                );
+            }
         }
     }
 
@@ -337,12 +411,12 @@ proptest! {
             .iter()
             .map(|f| (f.clone(), inst.rng.gen_range(0.0..=1.0)))
             .collect();
-        let mut batched: IncrementalRun<ProbMonoid, hq_unify::ColumnarRelation<f64>> =
-            IncrementalRun::with_storage(ProbMonoid, &inst.query, &inst.interner, tid.clone())
-                .unwrap();
-        let mut serial: IncrementalRun<ProbMonoid, hq_unify::ColumnarRelation<f64>> =
-            IncrementalRun::with_storage(ProbMonoid, &inst.query, &inst.interner, tid)
-                .unwrap();
+        let mut batched: ServingSession<ProbMonoid, ColumnarRelation<f64>> =
+            ServingSession::new(ProbMonoid, &inst.interner, tid.clone()).unwrap();
+        let mut serial: ServingSession<ProbMonoid, ColumnarRelation<f64>> =
+            ServingSession::new(ProbMonoid, &inst.interner, tid).unwrap();
+        batched.query(&inst.interner, &inst.query).unwrap();
+        serial.query(&inst.interner, &inst.query).unwrap();
         for _ in 0..4 {
             let mut batch: Vec<(Fact, f64)> = random_batch(&mut inst.rng, &facts, &rels, 3)
                 .into_iter()
@@ -352,7 +426,8 @@ proptest! {
             if let Some((f, _)) = batch.first().cloned() {
                 batch.push((f, inst.rng.gen_range(0.0..=1.0)));
             }
-            let got = *batched.update_batch(&inst.interner, &batch).unwrap();
+            batched.update_batch(&inst.interner, &batch).unwrap();
+            let (got, got_stats) = batched.query(&inst.interner, &inst.query).unwrap();
             // Serial application of the coalesced batch (last write
             // wins per fact, preserving first-occurrence order).
             let mut coalesced: Vec<(Fact, f64)> = Vec::new();
@@ -362,59 +437,60 @@ proptest! {
                     None => coalesced.push((f.clone(), *p)),
                 }
             }
-            let mut expect = *serial.result();
             for (f, p) in &coalesced {
-                expect = *serial.update(&inst.interner, f, *p).unwrap();
+                serial.update(&inst.interner, f, *p).unwrap();
             }
+            let (expect, expect_stats) = serial.query(&inst.interner, &inst.query).unwrap();
             prop_assert_eq!(
                 got.to_bits(), expect.to_bits(),
                 "batch vs serial diverged on {}", inst.query
             );
-            prop_assert!(batched.last_update_stats().keys_written <= batch.len());
+            prop_assert_eq!(got_stats, expect_stats, "stats diverged on {}", inst.query);
         }
     }
 }
 
-/// Non-proptest pin: refold work scales with dirty group sizes, and the
-/// pipeline stores no full database clones (the acceptance criteria of
-/// the delta-indexed design, checked end to end from the public API).
+/// Non-proptest pin: the work of a single update scales with the dirty
+/// groups, not `|D|`, and the cached pipeline stores no full database
+/// clones (the acceptance criteria of the delta-indexed design, checked
+/// end to end from the public API at two database sizes).
 #[test]
 fn single_update_work_is_local_and_memory_is_lean() {
     // E(k, k) ⋈ F at Y ∈ {0, 1} only: every group a single update can
     // dirty is ≤ 2 rows while |D| grows.
     let q = hq_query::q_hierarchical();
-    let n = 2048i64;
-    let mut interner = hq_db::Interner::new();
-    let e = interner.intern("E");
-    let f = interner.intern("F");
-    let mut facts: Vec<(Fact, u64)> = Vec::new();
-    for k in 0..n {
-        facts.push((Fact::new(e, Tuple::ints(&[k, k])), 1));
+    for n in [2048i64, 32_768] {
+        let mut interner = hq_db::Interner::new();
+        let e = interner.intern("E");
+        let f = interner.intern("F");
+        let mut facts: Vec<(Fact, u64)> = (0..n)
+            .map(|k| (Fact::new(e, Tuple::ints(&[k, k])), 1))
+            .collect();
+        facts.push((Fact::new(f, Tuple::ints(&[0, 1])), 1));
+        facts.push((Fact::new(f, Tuple::ints(&[1, 1])), 1));
+        let total = facts.len();
+        let mut session: ServingSession<CountMonoid, ColumnarRelation<u64>> =
+            ServingSession::new(CountMonoid, &interner, facts.iter().cloned()).unwrap();
+        session.query(&interner, &q).unwrap();
+        // A joining single-fact update plus the re-query: O(plan)
+        // monoid ops, not O(|D|).
+        let warm = session.ops_performed();
+        session.update(&interner, &facts[0].0, 2).unwrap();
+        let (got, stats) = session.query(&interner, &q).unwrap();
+        let work = session.ops_performed() - warm;
+        assert!(work <= 8, "update spent {work} monoid ops on |D| = {total}");
+        facts[0].1 = 2;
+        let (want, want_stats) =
+            evaluate_on(Backend::Columnar, &CountMonoid, &q, &interner, facts).unwrap();
+        assert_eq!(got, want, "|D| = {total}");
+        assert_eq!(stats, want_stats, "|D| = {total}");
+        // Memory: strictly below half the steps+1 full-clone footprint.
+        let steps = 4; // two Rule 1 projections, one merge, one final fold
+        assert!(
+            session.cached_rows() < (steps + 1) * total / 2,
+            "cached {} rows vs {} full-clone rows at |D| = {total}",
+            session.cached_rows(),
+            (steps + 1) * total
+        );
     }
-    facts.push((Fact::new(f, Tuple::ints(&[0, 1])), 1));
-    facts.push((Fact::new(f, Tuple::ints(&[1, 1])), 1));
-    let total = facts.len();
-    let mut run: IncrementalRun<CountMonoid, hq_unify::ColumnarRelation<u64>> =
-        IncrementalRun::with_storage(CountMonoid, &q, &interner, facts.iter().cloned()).unwrap();
-    // A joining single-fact update: refold work stays O(plan), not O(|D|).
-    run.update(&interner, &facts[0].0, 2).unwrap();
-    let work = run.last_update_stats();
-    assert!(
-        work.rows_folded <= 4,
-        "refold touched {} rows on |D| = {total}",
-        work.rows_folded
-    );
-    assert!(
-        work.add_ops + work.mul_ops <= 8,
-        "update spent {} monoid ops on |D| = {total}",
-        work.add_ops + work.mul_ops
-    );
-    // Memory: strictly below half the old steps+1 full-clone footprint.
-    let steps = 4; // two Rule 1 projections, one merge, one final fold
-    assert!(
-        run.materialised_rows() < (steps + 1) * total / 2,
-        "materialised {} rows vs {} full-clone rows",
-        run.materialised_rows(),
-        (steps + 1) * total
-    );
 }

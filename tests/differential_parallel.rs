@@ -18,7 +18,9 @@ use hq_db::Fact;
 use hq_monoid::{BagMaxMonoid, CountMonoid, ProbMonoid, SatCountMonoid, TwoMonoid};
 use hq_unify::engine::{evaluate_encoded, evaluate_on_par};
 use hq_unify::storage::EncodedDb;
-use hq_unify::{bsm, evaluate_on, pqe, Backend, IncrementalRun, Parallelism};
+use hq_unify::{
+    bsm, evaluate_on, pqe, Backend, MapRelation, Parallelism, ServingSession, ShardedColumnar,
+};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -189,9 +191,9 @@ proptest! {
         }
     }
 
-    /// The incremental maintainer on the sharded backend stays
-    /// bit-identical to the map-backed maintainer through a random
-    /// update schedule, at every thread count.
+    /// A one-query serving session on the sharded backend stays
+    /// bit-identical to the map-backed session — values and reported
+    /// stats — through a random update schedule, at every thread count.
     #[test]
     fn incremental_sharded_agrees(seed in 0u64..1_000_000) {
         let mut inst = random_instance(seed, 4, 4, 4, 3);
@@ -206,8 +208,9 @@ proptest! {
                 (f.clone(), p)
             })
             .collect();
-        let mut oracle =
-            IncrementalRun::new(ProbMonoid, &inst.query, &inst.interner, tid.clone()).unwrap();
+        let (q, i) = (&inst.query, &inst.interner);
+        let mut oracle: ServingSession<ProbMonoid, MapRelation<f64>> =
+            ServingSession::new(ProbMonoid, i, tid.clone()).unwrap();
         // One update schedule replayed against every thread count.
         let schedule: Vec<(usize, f64)> = (0..6)
             .map(|_| {
@@ -216,26 +219,32 @@ proptest! {
                 (i, p)
             })
             .collect();
-        let mut sharded_runs: Vec<_> = THREADS
+        let mut sharded: Vec<ServingSession<ProbMonoid, ShardedColumnar<f64>>> = THREADS
             .iter()
             .map(|&t| {
-                IncrementalRun::with_parallelism(
-                    ProbMonoid, &inst.query, &inst.interner, tid.clone(), Parallelism::fine_grained(t),
+                ServingSession::with_parallelism(
+                    ProbMonoid, i, tid.clone(), Parallelism::fine_grained(t),
                 )
                 .unwrap()
             })
             .collect();
-        for run in &sharded_runs {
-            prop_assert_eq!(oracle.result().to_bits(), run.result().to_bits());
+        let expect = oracle.query(i, q).unwrap();
+        for s in &mut sharded {
+            let got = s.query(i, q).unwrap();
+            prop_assert_eq!(expect.0.to_bits(), got.0.to_bits());
+            prop_assert_eq!(&expect.1, &got.1);
         }
-        for &(i, p) in &schedule {
-            let expect = *oracle.update(&inst.interner, &facts[i], p).unwrap();
-            for (t, run) in THREADS.iter().zip(&mut sharded_runs) {
-                let got = *run.update(&inst.interner, &facts[i], p).unwrap();
+        for &(j, p) in &schedule {
+            oracle.update(i, &facts[j], p).unwrap();
+            let expect = oracle.query(i, q).unwrap();
+            for (t, s) in THREADS.iter().zip(&mut sharded) {
+                s.update(i, &facts[j], p).unwrap();
+                let got = s.query(i, q).unwrap();
                 prop_assert_eq!(
-                    expect.to_bits(), got.to_bits(),
-                    "threads={} after {} := {}", t, facts[i].display(&inst.interner), p
+                    expect.0.to_bits(), got.0.to_bits(),
+                    "threads={} after {} := {}", t, facts[j].display(i), p
                 );
+                prop_assert_eq!(&expect.1, &got.1, "stats at threads={}", t);
             }
         }
     }

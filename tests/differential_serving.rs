@@ -778,8 +778,7 @@ fn delta_patching_beats_rebuild_on_the_pinned_32k_instance() {
 
 /// Bugfix pin: re-populating a relation that an earlier delete-only
 /// batch emptied, with values that were already interned, must not
-/// report any dictionary extension — on the serving session *and* on
-/// the incremental run.
+/// report any dictionary extension.
 #[test]
 fn repopulating_an_emptied_relation_reports_no_dict_extensions() {
     let (tid, mut interner, _) = chain_instance();
@@ -810,26 +809,57 @@ fn repopulating_an_emptied_relation_reports_no_dict_extensions() {
         warm_ops,
         "E stayed warm throughout"
     );
-    // The incremental maintainer agrees: emptying a query relation and
-    // re-inserting interned values pays zero dictionary extensions.
+}
+
+/// Insert-heavy batches with novel domain values extend the shared
+/// dictionary once per batch — each cached matrix is translated once —
+/// strictly fewer times than the same inserts applied serially, and the
+/// amortisation changes no served value or stat.
+#[test]
+fn batched_novel_inserts_extend_the_dictionary_fewer_times_than_serial() {
+    let (tid, interner, _) = chain_instance();
     let q = hq_query::parse_query("Q() :- E(X,Y), F(Y,Z)").unwrap();
-    let mut run: hq_unify::IncrementalRun<ProbMonoid, ColumnarRelation<f64>> =
-        hq_unify::IncrementalRun::with_storage(ProbMonoid, &q, &interner, tid.iter().cloned())
-            .unwrap();
-    let e_facts: Vec<Fact> = tid
-        .iter()
-        .filter(|(f, _)| interner.resolve(f.rel) == "E")
-        .map(|(f, _)| f.clone())
+    let batch: Vec<(Fact, f64)> = (0..64)
+        .map(|k| {
+            let (f, _) = &tid[k % tid.len()];
+            let novel = 1_000_000 + k as i64;
+            (Fact::new(f.rel, Tuple::ints(&[novel, novel + 1])), 0.4)
+        })
         .collect();
-    let empty_e: Vec<(Fact, f64)> = e_facts.iter().map(|f| (f.clone(), 0.0)).collect();
-    run.update_batch(&interner, &empty_e).unwrap();
-    assert_eq!(run.last_update_stats().dict_extensions, 0);
-    run.update(&interner, &e_facts[0], 0.5).unwrap();
-    assert_eq!(
-        run.last_update_stats().dict_extensions,
-        0,
-        "re-populating with interned values must not extend"
+    let warm = || {
+        let mut s: ServingSession<ProbMonoid, ColumnarRelation<f64>> =
+            ServingSession::new(ProbMonoid, &interner, tid.iter().cloned()).unwrap();
+        s.query(&interner, &q).unwrap();
+        s
+    };
+    let mut batched = warm();
+    let batched_ext = batched
+        .update_batch(&interner, &batch)
+        .unwrap()
+        .dict_extensions;
+    let mut serial = warm();
+    let serial_ext: usize = batch
+        .iter()
+        .map(|(f, p)| serial.update(&interner, f, *p).unwrap().dict_extensions)
+        .sum();
+    assert!(batched_ext >= 1, "novel values must extend the dictionary");
+    assert!(
+        batched_ext < serial_ext,
+        "batched extension ({batched_ext}) must beat serial ({serial_ext})"
     );
+    let (got, got_stats) = batched.query(&interner, &q).unwrap();
+    let (want, want_stats) = serial.query(&interner, &q).unwrap();
+    assert_eq!(
+        got.to_bits(),
+        want.to_bits(),
+        "amortisation changed the result"
+    );
+    assert_eq!(got_stats, want_stats);
+    let mut current: std::collections::BTreeMap<Fact, f64> = tid.iter().cloned().collect();
+    current.extend(batch.iter().cloned());
+    let (fresh, fresh_stats) = fresh_encoded(&ProbMonoid, &q, &interner, &current);
+    assert_eq!(got.to_bits(), fresh.to_bits());
+    assert_eq!(got_stats, fresh_stats);
 }
 
 /// Bugfix pin: a novel-domain-value insert no longer clears the node

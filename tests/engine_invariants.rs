@@ -8,7 +8,7 @@ mod common;
 use common::random_instance;
 use hq_monoid::{BoolMonoid, CountMonoid, ProbMonoid, TropicalMinMonoid, TROPICAL_INF};
 use hq_query::{plan_with_order, PlanOrder};
-use hq_unify::{annotate, evaluate, run_plan};
+use hq_unify::{annotate, evaluate, run_plan, MapRelation, ServingSession};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -126,8 +126,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The incremental engine agrees with a fresh full run after every
-    /// update in a random update sequence (probability monoid).
+    /// A one-query serving session agrees with a fresh full run after
+    /// every update in a random update sequence (probability monoid).
     #[test]
     fn incremental_matches_full_runs(seed in 0u64..1_000_000) {
         let mut inst = random_instance(seed, 4, 4, 4, 3);
@@ -142,13 +142,8 @@ proptest! {
                 (f.clone(), p)
             })
             .collect();
-        let mut run = hq_unify::IncrementalRun::new(
-            ProbMonoid,
-            &inst.query,
-            &inst.interner,
-            tid.clone(),
-        )
-        .unwrap();
+        let mut session: ServingSession<ProbMonoid, MapRelation<f64>> =
+            ServingSession::new(ProbMonoid, &inst.interner, tid.clone()).unwrap();
         for _ in 0..6 {
             let j = inst.rng.gen_range(0..tid.len());
             // Include exact-zero deletions in the mix.
@@ -158,9 +153,8 @@ proptest! {
                 inst.rng.gen_range(0.0..=1.0)
             };
             tid[j].1 = new_p;
-            let got = *run
-                .update(&inst.interner, &tid[j].0, new_p)
-                .unwrap();
+            session.update(&inst.interner, &tid[j].0, new_p).unwrap();
+            let (got, _) = session.query(&inst.interner, &inst.query).unwrap();
             let (fresh, _) =
                 evaluate(&ProbMonoid, &inst.query, &inst.interner, tid.clone()).unwrap();
             prop_assert!(
@@ -183,19 +177,15 @@ proptest! {
         let mut present: Vec<bool> = facts.iter().map(|_| true).collect();
         let annotated: Vec<(hq_db::Fact, u64)> =
             facts.iter().map(|f| (f.clone(), 1u64)).collect();
-        let mut run = hq_unify::IncrementalRun::new(
-            CountMonoid,
-            &inst.query,
-            &inst.interner,
-            annotated,
-        )
-        .unwrap();
+        let mut session: ServingSession<CountMonoid, MapRelation<u64>> =
+            ServingSession::new(CountMonoid, &inst.interner, annotated).unwrap();
         for _ in 0..6 {
             let j = inst.rng.gen_range(0..facts.len());
             present[j] = !present[j];
-            let got = *run
+            session
                 .update(&inst.interner, &facts[j], u64::from(present[j]))
                 .unwrap();
+            let (got, _) = session.query(&inst.interner, &inst.query).unwrap();
             let current: Vec<(hq_db::Fact, u64)> = facts
                 .iter()
                 .zip(&present)
