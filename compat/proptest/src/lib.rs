@@ -186,7 +186,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Lengths acceptable to [`vec`].
+    /// Lengths acceptable to [`vec()`].
     pub trait IntoLenRange {
         /// The inclusive (lo, hi) length bounds.
         fn bounds(self) -> (usize, usize);
@@ -205,7 +205,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         lo: usize,

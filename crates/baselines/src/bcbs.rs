@@ -3,7 +3,7 @@
 //!
 //! BCBS — given an undirected self-loop-free graph `G` and `k`, decide
 //! whether `G` contains a complete bipartite subgraph with both parts
-//! of size `k` — is NP-complete [Garey & Johnson, GT24] and W[1]-hard
+//! of size `k` — is NP-complete [Garey & Johnson, GT24] and W\[1\]-hard
 //! in `k` [Lin 2018]. Theorem 4.4 reduces it to the decision version of
 //! Bag-Set Maximization for *any* non-hierarchical SJF-BCQ: encode the
 //! edges into the witness atom `S(A,B,·)`, let repairs buy `R(A,·)` and

@@ -24,7 +24,8 @@
 //!
 //! Errors answer `error: …` and keep the connection open — including
 //! `error: write queue full …` when `--write-queue N --write-policy
-//! refuse` backpressure refuses a burst. Connections beyond
+//! refuse` backpressure refuses a burst, a line longer than
+//! [`MAX_LINE_BYTES`] and a line that is not UTF-8. Connections beyond
 //! `--max-sessions` are refused with `error: server full`.
 
 use crate::args::Args;
@@ -39,6 +40,54 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
+
+/// The longest command line the wire accepts, newline excluded. A
+/// longer line is answered with an error and discarded through its
+/// newline, so no client can make a connection buffer without bound.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Reads the next `\n`-terminated line (a trailing `\r` dropped, as in
+/// [`BufRead::lines`]) into `buf`, holding at most [`MAX_LINE_BYTES`]
+/// of it. `None` at end of stream; `Some(Err(reason))` for a line that
+/// is over-long or not UTF-8 — it has been consumed whole, so the next
+/// call reads the line after it.
+fn read_wire_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let (mut read_any, mut too_long) = (false, false);
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            if !read_any {
+                return Ok(None);
+            }
+            break;
+        }
+        read_any = true;
+        let end = chunk.iter().position(|&b| b == b'\n');
+        let body = &chunk[..end.unwrap_or(chunk.len())];
+        too_long |= buf.len() + body.len() > MAX_LINE_BYTES;
+        if !too_long {
+            buf.extend_from_slice(body);
+        }
+        let used = body.len() + usize::from(end.is_some());
+        reader.consume(used);
+        if end.is_some() {
+            break;
+        }
+    }
+    if too_long {
+        return Ok(Some(Err(format!("line exceeds {MAX_LINE_BYTES} bytes"))));
+    }
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    Ok(Some(
+        std::str::from_utf8(buf).map_err(|_| "line is not UTF-8".to_owned()),
+    ))
+}
 
 /// The four storage tiers behind one wire server. Mirrors the serve
 /// mode's `Session` dispatch: `--backend` + `--threads` select the
@@ -352,11 +401,19 @@ fn handle_conn(
     interner: &Arc<RwLock<Interner>>,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let Some(cmd) = strip_comment(&line) else {
+    let mut buf = Vec::new();
+    for lineno in 0.. {
+        let line = match read_wire_line(&mut reader, &mut buf)? {
+            None => break,
+            Some(Ok(line)) => line,
+            Some(Err(reason)) => {
+                writeln!(out, "error: {reason}")?;
+                continue;
+            }
+        };
+        let Some(cmd) = strip_comment(line) else {
             continue;
         };
         let reply = match cmd {
@@ -489,6 +546,40 @@ mod tests {
         }
         let reader = BufReader::new(stream);
         reader.lines().map(|l| l.unwrap()).collect()
+    }
+
+    fn roundtrip_raw(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<String> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(bytes).unwrap();
+        BufReader::new(stream).lines().map(|l| l.unwrap()).collect()
+    }
+
+    #[test]
+    fn over_long_line_gets_one_error_and_the_connection_stays_open() {
+        let (addr, handle) = boot("E(1,2) @ 0.5\n", &[]);
+        let mut bytes = vec![b'E'; 100 * 1024];
+        bytes.extend_from_slice(b"\npin\nquit\n");
+        let replies = roundtrip_raw(addr, &bytes);
+        assert_eq!(
+            replies,
+            vec![
+                "error: line exceeds 65536 bytes".to_owned(),
+                "pinned epoch 0".to_owned()
+            ]
+        );
+        let _ = roundtrip(addr, &["shutdown"]);
+        let _ = handle.join().unwrap();
+    }
+
+    #[test]
+    fn non_utf8_line_gets_one_error_and_the_connection_stays_open() {
+        let (addr, handle) = boot("E(1,2) @ 0.5\n", &[]);
+        let replies = roundtrip_raw(addr, b"E(1,\xff\xfe)\nstats\nquit\n");
+        assert_eq!(replies.len(), 2, "{replies:?}");
+        assert_eq!(replies[0], "error: line is not UTF-8");
+        assert!(replies[1].contains("cached node(s)"), "{replies:?}");
+        let _ = roundtrip(addr, &["shutdown"]);
+        let _ = handle.join().unwrap();
     }
 
     #[test]

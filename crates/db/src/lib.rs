@@ -7,7 +7,7 @@
 //! seeded synthetic workload generators.
 //!
 //! This crate knows nothing about queries-as-ASTs or 2-monoids; it only
-//! provides data and the generic conjunctive-[`Pattern`](join::Pattern)
+//! provides data and the generic conjunctive-[`join::Pattern`]
 //! evaluator that higher layers compile into.
 
 #![forbid(unsafe_code)]

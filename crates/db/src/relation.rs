@@ -14,7 +14,7 @@ const STAGE_CAP: usize = 512;
 ///
 /// Tuples are kept in **two sorted, deduplicated, disjoint vectors**:
 /// the bulk plus a small staged buffer of recent inserts that merges
-/// into the bulk when it reaches [`STAGE_CAP`] entries (or when a batch
+/// into the bulk when it reaches `STAGE_CAP` entries (or when a batch
 /// insert flushes it). Iteration interleaves the two — always sorted,
 /// which the annotated-relation storage layer exploits to build its
 /// columnar code matrices without re-sorting, and which makes every

@@ -12,7 +12,8 @@ use hq_db::{Interner, Pattern, PatternAtom};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// A query variable, identified by its index into [`Query::var_names`].
+/// A query variable, identified by its index into the query's
+/// variable-name table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Var(pub usize);
 

@@ -38,7 +38,7 @@
 //! pin the layout equivalence.
 
 use crate::engine::EngineStats;
-use crate::plan_ir::{PlanExpr, PlanId, PlanIr};
+use crate::plan_ir::{PlanExpr, PlanId};
 use crate::storage::{Backend, ColumnarRelation, CompressedColumnar, MapRelation, Storage};
 use hq_db::{Tuple, Value};
 use hq_monoid::TwoMonoid;
@@ -132,25 +132,16 @@ pub struct FixSpec {
 
 /// Validates a [`PlanExpr::Fixpoint`] node's structure: the base must
 /// be a binary scan and the step a [`PlanExpr::Compose`] of
-/// [`PlanExpr::Rec`] with a binary scan.
+/// [`PlanExpr::Rec`] with a binary scan. `node_of` resolves plan ids —
+/// a [`crate::plan_ir::PlanIr`] arena or a per-query expression map.
 ///
 /// # Errors
 /// [`FixpointError::MalformedStep`] when the shape does not match.
-pub fn validate_fixpoint(ir: &PlanIr, id: PlanId) -> Result<FixSpec, FixpointError> {
-    validate_fixpoint_in(&|n| ir.node(n).clone(), id)
-}
-
-/// [`validate_fixpoint`] over an arbitrary node lookup — the serving
-/// server resolves plans into a per-query expression map rather than a
-/// whole [`PlanIr`].
-///
-/// # Errors
-/// [`FixpointError::MalformedStep`] when the shape does not match.
-pub fn validate_fixpoint_in(
-    node_of: &dyn Fn(PlanId) -> PlanExpr,
+pub fn validate_fixpoint<'a>(
+    node_of: impl Fn(PlanId) -> &'a PlanExpr,
     id: PlanId,
 ) -> Result<FixSpec, FixpointError> {
-    let PlanExpr::Fixpoint { base, step } = node_of(id) else {
+    let &PlanExpr::Fixpoint { base, step } = node_of(id) else {
         return Err(FixpointError::MalformedStep { node: id });
     };
     let scan_arity = |n: PlanId| match node_of(n) {
@@ -160,7 +151,7 @@ pub fn validate_fixpoint_in(
     if scan_arity(base) != Some(2) {
         return Err(FixpointError::MalformedStep { node: id });
     }
-    let (edges, shape) = match node_of(step) {
+    let (edges, shape) = match *node_of(step) {
         PlanExpr::Compose { left, right } => match (node_of(left), node_of(right)) {
             (PlanExpr::Rec, PlanExpr::Scan { .. }) => (right, StepShape::LeftLinear),
             (PlanExpr::Scan { .. }, PlanExpr::Rec) => (left, StepShape::RightLinear),
@@ -207,6 +198,36 @@ impl<K: Clone> FixpointRun<K> {
     /// Point read of one pair (`None` when outside the support).
     pub fn get(&self, src: Value, dst: Value) -> Option<&K> {
         self.acc.get(&(src, dst)).map(|(k, _)| k)
+    }
+
+    /// The readout at the bound endpoints: both given → that pair's
+    /// annotation (`0` outside the support); only `src` → the ⊕-fold
+    /// over every pair leaving `src` in ascending target order; only
+    /// `dst` → the ⊕-fold over every pair reaching `dst` in ascending
+    /// source order; neither → the run's [`FixpointRun::total`]. Like
+    /// a nullary readout, the folds are not op-counted.
+    pub fn readout<M: TwoMonoid<Elem = K>>(
+        &self,
+        monoid: &M,
+        src: Option<Value>,
+        dst: Option<Value>,
+    ) -> K {
+        match (src, dst) {
+            (Some(s), Some(d)) => self.get(s, d).cloned().unwrap_or_else(|| monoid.zero()),
+            (Some(s), None) => monoid.sum(
+                self.acc
+                    .range((s, Value::Int(i64::MIN))..)
+                    .take_while(|(&(a, _), _)| a == s)
+                    .map(|(_, (k, _))| k),
+            ),
+            (None, Some(d)) => monoid.sum(
+                self.acc
+                    .iter()
+                    .filter(|(&(_, b), _)| b == d)
+                    .map(|(_, (k, _))| k),
+            ),
+            (None, None) => self.total.clone(),
+        }
     }
 }
 

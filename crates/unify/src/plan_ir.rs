@@ -1,7 +1,7 @@
 //! The shared query-plan IR: Algorithm 1's Rule 1/Rule 2 step
 //! sequence as first-class, **hash-consed** plan nodes.
 //!
-//! An [`EliminationPlan`](hq_query::EliminationPlan) is a per-query
+//! An [`hq_query::EliminationPlan`] is a per-query
 //! recipe expressed in that query's private vocabulary (atom slots,
 //! variable ids). Two different queries can nevertheless demand the
 //! *same physical work* — scanning relation `R` into the same column
@@ -94,6 +94,20 @@ pub enum PlanExpr {
     },
 }
 
+impl PlanExpr {
+    /// The nodes this one refers to, in operand order.
+    pub fn children(&self) -> Vec<PlanId> {
+        match *self {
+            PlanExpr::Scan { .. } | PlanExpr::Rec => Vec::new(),
+            PlanExpr::Project { input, .. } => vec![input],
+            PlanExpr::Join { left, right } | PlanExpr::Compose { left, right } => {
+                vec![left, right]
+            }
+            PlanExpr::Fixpoint { base, step } => vec![base, step],
+        }
+    }
+}
+
 /// A hash-consing arena of [`PlanExpr`] nodes shared by every query
 /// lowered into it.
 #[derive(Debug, Default)]
@@ -125,32 +139,18 @@ impl PlanIr {
             return id;
         }
         debug_assert!(
-            match &expr {
-                PlanExpr::Scan { .. } | PlanExpr::Rec => true,
-                PlanExpr::Project { input, .. } => *input < self.nodes.len(),
-                PlanExpr::Join { left, right } | PlanExpr::Compose { left, right } =>
-                    *left < self.nodes.len() && *right < self.nodes.len(),
-                PlanExpr::Fixpoint { base, step } =>
-                    *base < self.nodes.len() && *step < self.nodes.len(),
-            },
+            expr.children().iter().all(|&c| c < self.nodes.len()),
             "plan nodes must be interned after their inputs"
         );
         let deps = match &expr {
             PlanExpr::Scan { rel, .. } => BTreeSet::from([rel.clone()]),
-            // The loop variable is bound by the enclosing Fixpoint; it
-            // reads no base relation by itself.
-            PlanExpr::Rec => BTreeSet::new(),
-            PlanExpr::Project { input, .. } => self.deps[*input].clone(),
-            PlanExpr::Join { left, right } | PlanExpr::Compose { left, right } => {
-                let mut d = self.deps[*left].clone();
-                d.extend(self.deps[*right].iter().cloned());
-                d
-            }
-            PlanExpr::Fixpoint { base, step } => {
-                let mut d = self.deps[*base].clone();
-                d.extend(self.deps[*step].iter().cloned());
-                d
-            }
+            // Everything else reads its children's relations (the loop
+            // variable has none: it is bound by the enclosing Fixpoint).
+            _ => expr
+                .children()
+                .iter()
+                .flat_map(|&c| self.deps[c].iter().cloned())
+                .collect(),
         };
         let id = self.nodes.len();
         self.nodes.push(expr.clone());

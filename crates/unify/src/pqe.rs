@@ -9,12 +9,12 @@
 use crate::engine::{
     evaluate_columnar_par, evaluate_compressed_par, evaluate_on_par, EngineStats, UnifyError,
 };
-use crate::fixpoint::{transitive_closure, transitive_closure_on, FixpointRun};
+use crate::fixpoint::{transitive_closure, transitive_closure_on};
 use crate::serving::{ServingBackend, ServingError, ServingSession, UpdateOutcome};
 use crate::storage::{Backend, ColumnarRelation, Parallelism};
 use hq_arith::Rational;
 use hq_db::{Fact, Interner, Tuple, Value};
-use hq_monoid::{ExactProbMonoid, ProbMonoid, TwoMonoid};
+use hq_monoid::{ExactProbMonoid, ProbMonoid};
 use hq_query::Query;
 use std::fmt;
 
@@ -101,11 +101,7 @@ pub fn probability_with_stats_par(
     interner: &Interner,
     tid: &[(Fact, f64)],
 ) -> Result<(f64, EngineStats), PqeError> {
-    for &(_, p) in tid {
-        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-            return Err(PqeError::InvalidProbability { value: p });
-        }
-    }
+    validate(tid.iter().map(|&(_, p)| p))?;
     // The columnar path annotates straight from the borrowed fact
     // list — no per-fact tuple clone.
     let out = match backend {
@@ -293,11 +289,7 @@ pub fn expected_count_par(
     interner: &Interner,
     tid: &[(Fact, f64)],
 ) -> Result<f64, PqeError> {
-    for &(_, p) in tid {
-        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-            return Err(PqeError::InvalidProbability { value: p });
-        }
-    }
+    validate(tid.iter().map(|&(_, p)| p))?;
     let (e, _) = match backend {
         Backend::Columnar => evaluate_columnar_par(
             par,
@@ -325,43 +317,20 @@ pub fn expected_count_par(
     Ok(e)
 }
 
-fn validate(tid: &[(Fact, f64)]) -> Result<(), PqeError> {
-    for &(_, p) in tid {
-        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-            return Err(PqeError::InvalidProbability { value: p });
-        }
-    }
-    Ok(())
-}
-
-/// The probability readout of a recursive [`FixpointRun`]: both
-/// endpoints fixed → that pair's reachability probability; one fixed →
-/// the noisy-or fold over its slice; neither → the run's ⊕-total.
-fn fix_readout(run: &FixpointRun<f64>, src: Option<Value>, dst: Option<Value>) -> f64 {
-    match (src, dst) {
-        (Some(s), Some(d)) => run.get(s, d).copied().unwrap_or(0.0),
-        (Some(s), None) => ProbMonoid.sum(
-            run.acc
-                .range((s, Value::Int(i64::MIN))..)
-                .take_while(|(&(a, _), _)| a == s)
-                .map(|(_, (k, _))| k),
-        ),
-        (None, Some(d)) => ProbMonoid.sum(
-            run.acc
-                .iter()
-                .filter(|(&(_, b), _)| b == d)
-                .map(|(_, (k, _))| k),
-        ),
-        (None, None) => run.total,
+/// Rejects the first probability outside `[0, 1]` (NaN included).
+fn validate(probs: impl IntoIterator<Item = f64>) -> Result<(), PqeError> {
+    match probs.into_iter().find(|p| !(0.0..=1.0).contains(p)) {
+        Some(value) => Err(PqeError::InvalidProbability { value }),
+        None => Ok(()),
     }
 }
 
 /// Recursive reachability over an independent probabilistic edge
 /// relation: the left-linear transitive-closure fixpoint
 /// `T = E ⊕ (T ∘ E)` under the probability 2-monoid, read out at the
-/// requested endpoints (`None` = any; see [`fix_readout`] semantics in
-/// the return description). Returns the probability and the kernel's
-/// [`EngineStats`].
+/// requested endpoints (`None` = any; see
+/// [`crate::fixpoint::FixpointRun::readout`]).
+/// Returns the probability and the kernel's [`EngineStats`].
 ///
 /// **Semantics.** Exact probabilistic reachability is `#P`-hard, so
 /// the fixpoint computes the paper-consistent *min-round* relaxation:
@@ -378,13 +347,9 @@ pub fn reachability(
     src: Option<Value>,
     dst: Option<Value>,
 ) -> Result<(f64, EngineStats), PqeError> {
-    for &(_, p) in edges {
-        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-            return Err(PqeError::InvalidProbability { value: p });
-        }
-    }
+    validate(edges.iter().map(|&(_, p)| p))?;
     let run = transitive_closure(&ProbMonoid, edges).map_err(ServingError::from)?;
-    Ok((fix_readout(&run, src, dst), run.stats))
+    Ok((run.readout(&ProbMonoid, src, dst), run.stats))
 }
 
 /// [`reachability`] with the edges and the accumulator round-tripped
@@ -400,13 +365,9 @@ pub fn reachability_on(
     src: Option<Value>,
     dst: Option<Value>,
 ) -> Result<(f64, EngineStats), PqeError> {
-    for &(_, p) in edges {
-        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-            return Err(PqeError::InvalidProbability { value: p });
-        }
-    }
+    validate(edges.iter().map(|&(_, p)| p))?;
     let run = transitive_closure_on(backend, &ProbMonoid, edges).map_err(ServingError::from)?;
-    Ok((fix_readout(&run, src, dst), run.stats))
+    Ok((run.readout(&ProbMonoid, src, dst), run.stats))
 }
 
 /// A multi-query PQE serving session: one tuple-independent database,
@@ -431,7 +392,7 @@ impl<R: ServingBackend<Ann = f64>> PqeSession<R> {
         tid: &[(Fact, f64)],
         par: Parallelism,
     ) -> Result<Self, PqeError> {
-        validate(tid)?;
+        validate(tid.iter().map(|&(_, p)| p))?;
         Ok(PqeSession {
             session: ServingSession::with_parallelism(
                 ProbMonoid,
@@ -507,9 +468,7 @@ impl<R: ServingBackend<Ann = f64>> PqeSession<R> {
         fact: &Fact,
         p: f64,
     ) -> Result<UpdateOutcome, PqeError> {
-        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-            return Err(PqeError::InvalidProbability { value: p });
-        }
+        validate([p])?;
         Ok(self.session.update(interner, fact, p)?)
     }
 
@@ -523,7 +482,7 @@ impl<R: ServingBackend<Ann = f64>> PqeSession<R> {
         interner: &Interner,
         updates: &[(Fact, f64)],
     ) -> Result<UpdateOutcome, PqeError> {
-        validate(updates)?;
+        validate(updates.iter().map(|&(_, p)| p))?;
         Ok(self.session.update_batch(interner, updates)?)
     }
 

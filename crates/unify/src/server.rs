@@ -28,7 +28,8 @@
 //!   is exact regardless of which session — at which epoch — computed
 //!   the entry. Cache hits on shared sub-plans are **zero-op across
 //!   clients**; two sessions racing to materialise the same key both
-//!   compute bit-identical nodes and the first insert wins.
+//!   compute bit-identical nodes (with the session's evaluator, never
+//!   under the cache lock) and the first insert wins.
 //! * **Write path: group commit.** Writers never take the master
 //!   mutex directly. [`Server::submit_batch`] validates a batch's
 //!   arities at enqueue time (against a grow-only registry, so a bad
@@ -39,10 +40,11 @@
 //!   dirty-key coalescing lifted across sessions), runs **one**
 //!   delta-patch pass and publishes **one** epoch for the whole
 //!   group. Within the pass the committer first *adopts* any
-//!   reader-materialised nodes that are current for the master state,
-//!   so nodes warmed by any reader stay warm across the write, then
-//!   *exports* the patched nodes back to the shared cache at their
-//!   post-batch stamps. Groups commit in arrival-sequence order, so
+//!   reader-materialised nodes that are current for the master state
+//!   (a fixpoint node with its kernel run), so nodes warmed by any
+//!   reader stay warm — patched, not rebuilt — across the write, then
+//!   *exports* the nodes the shared cache lacks at their post-batch
+//!   stamps. Groups commit in arrival-sequence order, so
 //!   the final state equals a serial replay of the batches in `seq`
 //!   order ([`CommitReceipt::seq`]).
 //! * **Burst backpressure.** Above the epoch admission bound,
@@ -72,16 +74,17 @@
 
 use crate::annotated::AnnotateError;
 use crate::engine::EngineStats;
-use crate::fixpoint::{semi_naive, validate_fixpoint_in, FixpointError, FixpointRun};
 use crate::plan_ir::{LoweredQuery, PlanExpr, PlanId};
 use crate::serving::{
-    query_shape, QueryShape, ServingBackend, ServingError, ServingSession, UpdateOutcome,
+    eval_node, node_inputs, query_shape, replay, BaseState, Node, QueryShape, ServingBackend,
+    ServingError, ServingSession, UpdateOutcome,
 };
 use crate::storage::{ColumnarRelation, EncodedDb, Parallelism};
-use hq_db::{Database, Fact, Interner, RowCode, Sym, Tuple, Value};
+use hq_db::{Database, Fact, Interner, Sym, Value};
 use hq_monoid::TwoMonoid;
-use hq_query::{Query, Var};
+use hq_query::Query;
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock, Weak};
@@ -136,6 +139,23 @@ impl<M: TwoMonoid> EpochState<M> {
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
+
+    /// Snapshots `master`'s current state as a new immutable epoch.
+    fn of<R: ServingBackend<Ann = M::Elem>>(
+        master: &ServingSession<M, R>,
+        code_gen: u64,
+        retire: &Arc<RetireSignal>,
+    ) -> Arc<Self> {
+        Arc::new(EpochState {
+            epoch: master.session_epoch(),
+            code_gen,
+            db: master.database().clone(),
+            ann: master.annotations().clone(),
+            enc: master.encoded_db().clone(),
+            rel_epoch: master.rel_epochs().clone(),
+            retire: Arc::downgrade(retire),
+        })
+    }
 }
 
 impl<M: TwoMonoid> Drop for EpochState<M> {
@@ -161,14 +181,15 @@ impl RetireSignal {
     }
 }
 
-/// One immutable materialised plan node in the shared cache. `rel` is
+/// One immutable materialised plan node in the shared cache. `node` is
 /// never mutated after insertion — epochs that need a different
 /// version of the node live under a different `(generation, stamp)`
-/// key — so readers clone relations out of it without locks.
+/// key — so readers clone relations out of it without locks. A
+/// fixpoint node's kernel run travels inside `node`: it is replayed for
+/// recursive readouts and handed back to the master on adoption so the
+/// writer keeps delta-patching across commits.
 struct SharedNode<R: ServingBackend> {
-    rel: R,
-    add_ops: u64,
-    mul_ops: u64,
+    node: Node<R>,
     rows: usize,
     /// Base relations the node transitively reads (stamp vocabulary).
     deps: Arc<BTreeSet<String>>,
@@ -177,38 +198,10 @@ struct SharedNode<R: ServingBackend> {
     owner: u64,
     /// Global LRU clock value of the last touch.
     last_used: AtomicU64,
-    /// The recorded kernel run of a [`PlanExpr::Fixpoint`] node —
-    /// replayed for recursive readouts and handed back to the master
-    /// on adoption so the writer keeps delta-patching across commits.
-    /// `None` for every non-recursive node.
-    fix: Option<FixpointRun<R::Ann>>,
 }
 
 /// Shared-cache key: `(plan node, code generation, dep stamp)`.
 type NodeKey = (PlanId, u64, u64);
-
-/// One node the writer exports into the shared cache after a batch:
-/// `(plan node, relation, ⊕ ops, ⊗ ops, dependency set, fixpoint
-/// run)`.
-type Export<R> = (
-    PlanId,
-    R,
-    u64,
-    u64,
-    Arc<BTreeSet<String>>,
-    Option<FixpointRun<<R as crate::storage::Storage>::Ann>>,
-);
-
-/// One reader-warmed node adopted back into the master before a write:
-/// `(plan node, relation, ⊕ ops, ⊗ ops, fixpoint run)` — the dep set
-/// is recomputed master-side.
-type Adopted<R> = (
-    PlanId,
-    R,
-    u64,
-    u64,
-    Option<FixpointRun<<R as crate::storage::Storage>::Ann>>,
-);
 
 /// A query resolved against the master IR once and memoised for every
 /// session: the lowering plus each node's structural expression and
@@ -400,19 +393,6 @@ where
     M: TwoMonoid,
     R: ServingBackend<Ann = M::Elem>,
 {
-    /// Snapshots the master state as a new immutable epoch.
-    fn snapshot(&self, master: &ServingSession<M, R>, code_gen: u64) -> Arc<EpochState<M>> {
-        Arc::new(EpochState {
-            epoch: master.session_epoch(),
-            code_gen,
-            db: master.database().clone(),
-            ann: master.annotations().clone(),
-            enc: master.encoded_db().clone(),
-            rel_epoch: master.rel_epochs().clone(),
-            retire: Arc::downgrade(&self.retire),
-        })
-    }
-
     /// Resolves a query against the master IR, memoised per query
     /// shape. Only a memo miss locks the master.
     fn resolve(&self, q: &Query) -> Result<Arc<ResolvedPlan>, ServingError> {
@@ -465,14 +445,7 @@ where
                     continue;
                 }
                 let expr = master.plan_node(id);
-                match &expr {
-                    PlanExpr::Fixpoint { base, step } => todo.extend([*base, *step]),
-                    PlanExpr::Compose { left, right } | PlanExpr::Join { left, right } => {
-                        todo.extend([*left, *right]);
-                    }
-                    PlanExpr::Project { input, .. } => todo.push(*input),
-                    PlanExpr::Scan { .. } | PlanExpr::Rec => {}
-                }
+                todo.extend(expr.children());
                 deps.insert(id, Arc::new(master.node_deps(id).clone()));
                 exprs.insert(id, expr);
             }
@@ -495,9 +468,8 @@ where
     }
 
     /// Materialises (or fetches) one plan node for `epoch`, recording
-    /// it in the query's `local` node map. Inputs are present in
-    /// `local` first because lowered node lists are in dependency
-    /// order. The cache lock is never held across kernel execution.
+    /// it — and, on a miss, its inputs — in the query's `local` node
+    /// map. The cache lock is never held across kernel execution.
     #[allow(clippy::too_many_arguments)]
     fn ensure_node(
         &self,
@@ -509,6 +481,9 @@ where
         owner: u64,
         local: &mut HashMap<PlanId, Arc<SharedNode<R>>>,
     ) -> Result<(), ServingError> {
+        if local.contains_key(&id) {
+            return Ok(());
+        }
         let deps = &plan.deps[&id];
         let key = (id, epoch.code_gen, stamp(&epoch.rel_epoch, deps));
         if let Some(node) = self.cache.lock().unwrap().get(&key) {
@@ -516,97 +491,28 @@ where
             local.insert(id, node.clone());
             return Ok(());
         }
-        let mut stats = EngineStats::default();
-        let mut fix = None;
-        let rel = match &plan.exprs[&id] {
-            PlanExpr::Scan { rel, positions } => {
-                let vars: Vec<Var> = (0..positions.len()).map(Var).collect();
-                let ann_map = &epoch.ann;
-                let mut ann = |sym: Sym, t: &Tuple| -> M::Elem {
-                    ann_map
-                        .get(&Fact::new(sym, t.clone()))
-                        .cloned()
-                        .expect("epoch database and annotation map stay in sync")
-                };
-                R::scan(
-                    &epoch.enc, &epoch.db, interner, rel, positions, vars, &mut ann, self.par,
-                )?
-            }
-            PlanExpr::Project { input, col } => {
-                let input_rel = local[input].rel.clone();
-                let var = input_rel.vars()[*col];
-                input_rel.project_out(&self.monoid, var, &mut stats)
-            }
-            PlanExpr::Join { left, right } => {
-                let l = local[left].rel.clone();
-                let mut r = local[right].rel.clone();
-                // Shared nodes are label-free; align labels as pure
-                // metadata (see `ServingSession::ensure`).
-                r.relabel(l.vars().to_vec());
-                l.merge(&self.monoid, r, &mut stats)
-            }
-            PlanExpr::Rec | PlanExpr::Compose { .. } => {
-                unreachable!("loop variables and compose steps are never materialised")
-            }
-            PlanExpr::Fixpoint { .. } => {
-                let spec = validate_fixpoint_in(&|n| plan.exprs[&n].clone(), id)?;
-                self.ensure_node(epoch, plan, spec.base, interner, tick, owner, local)?;
-                self.ensure_node(epoch, plan, spec.edges, interner, tick, owner, local)?;
-                let base_rows = local[&spec.base].rel.rows();
-                let edge_rows = if spec.edges == spec.base {
-                    base_rows.clone()
-                } else {
-                    local[&spec.edges].rel.rows()
-                };
-                let run = semi_naive(&self.monoid, &base_rows, &edge_rows, spec.shape)?;
-                stats.add_ops = run.stats.add_ops;
-                stats.mul_ops = run.stats.mul_ops;
-                // Materialise the accumulator in the backend's layout,
-                // then move it into the epoch's *shared* dictionary
-                // numbering (`build_slots` encodes against a private
-                // dict), exactly like `ServingSession::ensure` — the
-                // node must renumber like every other cached matrix.
-                let rows = run.rows();
-                let mut rel = R::build_slots(vec![(vec![Var(0), Var(1)], rows.clone())])
-                    .map_err(|d| FixpointError::DuplicateKey { key: d.key })?
-                    .into_iter()
-                    .next()
-                    .expect("one slot in, one slot out");
-                if R::USES_ENCODING {
-                    let mut values: Vec<Value> = rows
-                        .iter()
-                        .flat_map(|(t, _)| t.values().iter().copied())
-                        .collect();
-                    values.sort_unstable();
-                    values.dedup();
-                    let shared = epoch.enc.shared_dict();
-                    let translation: Vec<RowCode> = values
-                        .iter()
-                        .map(|&v| {
-                            shared
-                                .code(v)
-                                .expect("accumulator values are instance values")
-                        })
-                        .collect();
-                    rel.translate_codes(&shared, &translation);
-                }
-                fix = Some(run);
-                rel
-            }
+        let node_of = |n| &plan.exprs[&n];
+        for input in node_inputs(node_of, id)? {
+            self.ensure_node(epoch, plan, input, interner, tick, owner, local)?;
+        }
+        let base = BaseState {
+            enc: &epoch.enc,
+            db: &epoch.db,
+            ann: &epoch.ann,
         };
+        let node = eval_node(&self.monoid, self.par, &base, interner, node_of, id, |n| {
+            &local[&n].node
+        })?;
         self.performed_add
-            .fetch_add(stats.add_ops, Ordering::Relaxed);
+            .fetch_add(node.add_ops, Ordering::Relaxed);
         self.performed_mul
-            .fetch_add(stats.mul_ops, Ordering::Relaxed);
+            .fetch_add(node.mul_ops, Ordering::Relaxed);
         let node = Arc::new(SharedNode {
-            rows: rel.support_size(),
-            rel,
-            add_ops: stats.add_ops,
-            mul_ops: stats.mul_ops,
+            rows: node.rel.support_size(),
+            node,
             deps: deps.clone(),
             owner,
             last_used: AtomicU64::new(tick),
-            fix,
         });
         // Insert-if-absent: a racing session may have materialised the
         // key meanwhile — its node is bit-identical (same immutable
@@ -623,40 +529,6 @@ where
         entry.last_used.store(tick, Ordering::Relaxed);
         local.insert(id, entry);
         Ok(())
-    }
-
-    /// Replays a lowered query's value, op counts and support
-    /// trajectory from the query's node map — zero monoid operations,
-    /// same walk as `ServingSession::replay`.
-    fn replay(
-        &self,
-        lowered: &LoweredQuery,
-        nodes: &HashMap<PlanId, Arc<SharedNode<R>>>,
-    ) -> (M::Elem, EngineStats) {
-        let mut stats = EngineStats::default();
-        let mut slot_nodes = lowered.scans.clone();
-        let mut alive = vec![true; slot_nodes.len()];
-        let support = |slot_nodes: &[PlanId], alive: &[bool]| -> usize {
-            slot_nodes
-                .iter()
-                .zip(alive)
-                .filter(|&(_, &a)| a)
-                .map(|(id, _)| nodes[id].rel.support_size())
-                .sum()
-        };
-        stats.support_sizes.push(support(&slot_nodes, &alive));
-        for step in &lowered.steps {
-            let n = &nodes[&step.node];
-            stats.add_ops += n.add_ops;
-            stats.mul_ops += n.mul_ops;
-            if let Some(k) = step.killed {
-                alive[k] = false;
-            }
-            slot_nodes[step.touched] = step.node;
-            stats.support_sizes.push(support(&slot_nodes, &alive));
-        }
-        let value = nodes[&lowered.root].rel.nullary_value(&self.monoid);
-        (value, stats)
     }
 
     /// Prunes dead epochs from the registry and drops shared-cache
@@ -846,35 +718,22 @@ where
         // Adopt: shared nodes current for the master state (same code
         // generation, same dep stamps) feed the delta-patcher, so
         // nodes warmed by *any* reader stay warm across the write
-        // instead of dropping to a cold rebuild.
-        {
-            let rel_epoch = master.rel_epochs().clone();
-            let adopt: Vec<Adopted<R>> = {
-                let cache = self.cache.lock().unwrap();
-                cache
-                    .iter()
-                    .filter(|&(&(id, g, s), node)| {
-                        g == gen && s == stamp(&rel_epoch, &node.deps) && !master.has_cached(id)
-                    })
-                    .map(|(&(id, _, _), node)| {
-                        (
-                            id,
-                            node.rel.clone(),
-                            node.add_ops,
-                            node.mul_ops,
-                            node.fix.clone(),
-                        )
-                    })
-                    .collect()
-            };
-            for (id, rel, add_ops, mul_ops, fix) in adopt {
-                match fix {
-                    // A fixpoint node travels with its kernel run so
-                    // the master can delta-patch it in place.
-                    Some(run) => master.adopt_fix_node(id, rel, run),
-                    None => master.adopt_node(id, rel, add_ops, mul_ops),
-                }
-            }
+        // instead of dropping to a cold rebuild. A fixpoint node
+        // travels with its kernel run so the master can delta-patch it
+        // in place.
+        let adopt: Vec<(PlanId, Node<R>)> = {
+            let rel_epoch = master.rel_epochs();
+            let cache = self.cache.lock().unwrap();
+            cache
+                .iter()
+                .filter(|&(&(id, g, s), shared)| {
+                    g == gen && s == stamp(rel_epoch, &shared.deps) && !master.has_cached(id)
+                })
+                .map(|(&(id, _, _), shared)| (id, shared.node.clone()))
+                .collect()
+        };
+        for (id, node) in adopt {
+            master.adopt_node(id, node);
         }
         let outcome = master.update_batch(interner, updates)?;
         if outcome.touched.is_empty() {
@@ -885,41 +744,29 @@ where
         // bump the code generation so the renumbered exports can never
         // collide with entries pinned epochs still read.
         let gen = gen + u64::from(outcome.refresh.dict_extended);
-        let rel_epoch = master.rel_epochs().clone();
-        let exports: Vec<Export<R>> = master
-            .cache_entries()
-            .map(|(id, rel, add_ops, mul_ops)| {
-                (
-                    id,
-                    rel.clone(),
-                    add_ops,
-                    mul_ops,
-                    Arc::new(master.node_deps(id).clone()),
-                    master.fix_run(id).cloned(),
-                )
-            })
-            .collect();
-        let state = self.snapshot(&master, gen);
-        drop(master);
+        let state = EpochState::of(&master, gen, &self.retire);
+        // Export the patched nodes at their post-batch stamps (lock
+        // order master → cache, as in the adopt block). Only absent
+        // keys are cloned: a node over untouched relations is already
+        // cached under the same key.
         {
             let tick = self.tick.load(Ordering::Relaxed);
+            let rel_epoch = master.rel_epochs();
             let mut cache = self.cache.lock().unwrap();
-            for (id, rel, add_ops, mul_ops, deps, fix) in exports {
-                let key = (id, gen, stamp(&rel_epoch, &deps));
-                cache.entry(key).or_insert_with(|| {
-                    Arc::new(SharedNode {
-                        rows: rel.support_size(),
-                        rel,
-                        add_ops,
-                        mul_ops,
-                        deps,
+            for (id, node) in master.cache_nodes() {
+                let deps = master.node_deps(id);
+                if let Entry::Vacant(slot) = cache.entry((id, gen, stamp(rel_epoch, deps))) {
+                    slot.insert(Arc::new(SharedNode {
+                        rows: node.rel.support_size(),
+                        node: node.clone(),
+                        deps: Arc::new(deps.clone()),
                         owner: WRITER,
                         last_used: AtomicU64::new(tick),
-                        fix,
-                    })
-                });
+                    }));
+                }
             }
         }
+        drop(master);
         *self.current.write().unwrap() = state.clone();
         self.epochs.lock().unwrap().push(Arc::downgrade(&state));
         drop(state);
@@ -974,7 +821,7 @@ where
     /// [`Server::new`] with an explicit [`Parallelism`] degree. The
     /// worker pool is warmed here, once: no request served afterwards
     /// ever spawns a thread (pinned by the differential suite via
-    /// [`crate::pool::WorkerPool::spawn_count`]).
+    /// [`crate::pool::spawn_count`]).
     ///
     /// # Errors
     /// Rejects fact lists that give one relation two different
@@ -1001,15 +848,7 @@ where
         let shared = ServerShared {
             monoid,
             par,
-            current: RwLock::new(Arc::new(EpochState {
-                epoch: 0,
-                code_gen: 0,
-                db: master.database().clone(),
-                ann: master.annotations().clone(),
-                enc: master.encoded_db().clone(),
-                rel_epoch: master.rel_epochs().clone(),
-                retire: Arc::downgrade(&retire),
-            })),
+            current: RwLock::new(EpochState::of(&master, 0, &retire)),
             master: Mutex::new(master),
             cache: Mutex::new(HashMap::new()),
             plans: RwLock::new(HashMap::new()),
@@ -1264,7 +1103,7 @@ where
             .lock()
             .unwrap()
             .values()
-            .map(|n| n.rel.storage_bytes())
+            .map(|n| n.node.rel.storage_bytes())
             .sum()
     }
 
@@ -1467,32 +1306,19 @@ where
     ) -> Result<(M::Elem, EngineStats), ServingError> {
         let epoch = self.read_epoch();
         let plan = self.shared.resolve(q)?;
-        let tick = self.shared.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut local = HashMap::new();
-        for id in plan.lowered.nodes().collect::<Vec<_>>() {
-            self.shared
-                .ensure_node(&epoch, &plan, id, interner, tick, self.id, &mut local)?;
-        }
-        let out = self.shared.replay(&plan.lowered, &local);
-        drop(local);
-        drop(epoch);
-        if let Some(b) = self.budget_rows {
-            let id = self.id;
-            self.shared.evict_where(b, |n| n.owner == id);
-        }
-        self.shared.evict_global();
-        Ok(out)
+        self.serve(interner, epoch, &plan, plan.lowered.nodes(), |local| {
+            replay(&self.shared.monoid, &plan.lowered, |n| &local[&n].node)
+        })
     }
 
     /// Evaluates the recursive reachability query over binary relation
     /// `rel` against this session's read epoch — the multi-tenant
     /// counterpart of [`ServingSession::query_fix`], with the same
-    /// readout semantics (both endpoints → the pair's annotation;
-    /// one → an ⊕-fold over the matching slice; neither → the ⊕-total)
-    /// and the same replayed [`EngineStats`]. The materialised
-    /// fixpoint node lives in the shared cache: a second session
-    /// querying the same relation at the same epoch replays it with
-    /// zero monoid operations.
+    /// readout ([`crate::fixpoint::FixpointRun::readout`]) and the same
+    /// replayed [`EngineStats`]. The materialised fixpoint node lives
+    /// in the shared cache: a second session querying the same
+    /// relation at the same epoch replays it with zero monoid
+    /// operations.
     ///
     /// # Errors
     /// [`ServingError::Fixpoint`] on a non-convergent monoid or a
@@ -1506,40 +1332,39 @@ where
     ) -> Result<(M::Elem, EngineStats), ServingError> {
         let epoch = self.read_epoch();
         let plan = self.shared.resolve_fix(rel);
+        let root = plan.lowered.root;
+        self.serve(interner, epoch, &plan, [root], |local| {
+            let run = local[&root]
+                .node
+                .fix
+                .as_ref()
+                .expect("fixpoint nodes always carry their kernel run");
+            (
+                run.readout(&self.shared.monoid, src, dst),
+                run.stats.clone(),
+            )
+        })
+    }
+
+    /// Materialises (or fetches) `ids` of `plan` for `epoch`, reads the
+    /// answer off the query's node map, then releases the epoch and
+    /// the node handles and enforces this session's budget and the
+    /// global bound.
+    fn serve<T>(
+        &self,
+        interner: &Interner,
+        epoch: Arc<EpochState<M>>,
+        plan: &ResolvedPlan,
+        ids: impl IntoIterator<Item = PlanId>,
+        read: impl FnOnce(&HashMap<PlanId, Arc<SharedNode<R>>>) -> T,
+    ) -> Result<T, ServingError> {
         let tick = self.shared.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut local = HashMap::new();
-        self.shared.ensure_node(
-            &epoch,
-            &plan,
-            plan.lowered.root,
-            interner,
-            tick,
-            self.id,
-            &mut local,
-        )?;
-        let node = &local[&plan.lowered.root];
-        let run = node
-            .fix
-            .as_ref()
-            .expect("fixpoint nodes always carry their kernel run");
-        let monoid = &self.shared.monoid;
-        let value = match (src, dst) {
-            (Some(s), Some(d)) => run.get(s, d).cloned().unwrap_or_else(|| monoid.zero()),
-            (Some(s), None) => monoid.sum(
-                run.acc
-                    .range((s, Value::Int(i64::MIN))..)
-                    .take_while(|(&(a, _), _)| a == s)
-                    .map(|(_, (k, _))| k),
-            ),
-            (None, Some(d)) => monoid.sum(
-                run.acc
-                    .iter()
-                    .filter(|(&(_, b), _)| b == d)
-                    .map(|(_, (k, _))| k),
-            ),
-            (None, None) => run.total.clone(),
-        };
-        let stats = run.stats.clone();
+        for id in ids {
+            self.shared
+                .ensure_node(&epoch, plan, id, interner, tick, self.id, &mut local)?;
+        }
+        let out = read(&local);
         drop(local);
         drop(epoch);
         if let Some(b) = self.budget_rows {
@@ -1547,7 +1372,7 @@ where
             self.shared.evict_where(b, |n| n.owner == id);
         }
         self.shared.evict_global();
-        Ok((value, stats))
+        Ok(out)
     }
 
     /// Evaluates a batch of queries in order against one consistent
@@ -1609,7 +1434,7 @@ where
 mod tests {
     use super::*;
     use crate::storage::{MapRelation, ShardedColumnar};
-    use hq_db::db_from_ints;
+    use hq_db::{db_from_ints, Tuple};
     use hq_monoid::ProbMonoid;
     use hq_query::parse_query;
 

@@ -24,6 +24,12 @@
 //! operations were actually executed, which is how the differential
 //! suite pins the sharing win (`performed < Σ independent`).
 //!
+//! **One evaluator.** A cached node is one record — the relation, its
+//! recorded op counts and, for a fixpoint, the kernel run — built by
+//! one crate-internal evaluator (`eval_node`) and read back by one
+//! `replay`. [`crate::server`] builds and replays its shared nodes
+//! through the same two functions; the layers differ in cache policy.
+//!
 //! **Update model.** [`ServingSession::update_batch`] applies fact
 //! writes (a `0` annotation deletes), bumps the touched relations'
 //! dirty epochs, delta-refreshes the [`EncodedDb`] (only changed
@@ -142,15 +148,12 @@ pub struct UpdateOutcome {
     pub refresh: RefreshOutcome,
 }
 
-/// A materialised plan node: its annotated relation plus the exact
-/// ⊕/⊗ op counts a fresh evaluation of the node would report (replayed
-/// into every query's reported stats without re-executing them; kept
-/// exact across delta-patches by the update accounting).
+/// A session cache entry: the materialised [`Node`] (its recorded op
+/// counts kept exact across delta-patches by the update accounting)
+/// plus the session's cache-policy state.
 #[derive(Debug, Clone)]
-struct CachedNode<R> {
-    rel: R,
-    add_ops: u64,
-    mul_ops: u64,
+struct CachedNode<R: Storage> {
+    node: Node<R>,
     /// Session epoch at which this node was (re)computed or patched.
     valid_at: u64,
     /// Query tick of the last use — the LRU clock of the eviction
@@ -589,6 +592,190 @@ where
         .collect()
 }
 
+/// A materialised plan node — the one record both serving layers cache
+/// ([`ServingSession`] per session, [`crate::server`] per epoch): the
+/// annotated relation, the exact ⊕/⊗ op counts a fresh evaluation of
+/// the node would report (replayed into every query's stats without
+/// re-executing them), and, for a [`PlanExpr::Fixpoint`] node only, the
+/// recorded kernel run that answers recursive readouts and lets
+/// [`patch_inserts`] keep the node warm under pure-insert updates.
+#[derive(Debug, Clone)]
+pub(crate) struct Node<R: Storage> {
+    pub(crate) rel: R,
+    pub(crate) add_ops: u64,
+    pub(crate) mul_ops: u64,
+    pub(crate) fix: Option<FixpointRun<R::Ann>>,
+}
+
+/// The base state scans read: one consistent `(encoding, database,
+/// annotations)` triple — a session's live state or a server epoch's
+/// snapshot.
+pub(crate) struct BaseState<'a, E> {
+    pub(crate) enc: &'a EncodedDb,
+    pub(crate) db: &'a Database,
+    pub(crate) ann: &'a BTreeMap<Fact, E>,
+}
+
+/// The materialised inputs node `id` reads, which a caller must hold
+/// before [`eval_node`] runs: a fixpoint reads its validated base and
+/// edge scans. Fails only on a malformed fixpoint.
+pub(crate) fn node_inputs<'p>(
+    node_of: impl Fn(PlanId) -> &'p PlanExpr,
+    id: PlanId,
+) -> Result<Vec<PlanId>, ServingError> {
+    Ok(match node_of(id) {
+        PlanExpr::Fixpoint { .. } => {
+            let spec = validate_fixpoint(&node_of, id)?;
+            vec![spec.base, spec.edges]
+        }
+        expr => expr.children(),
+    })
+}
+
+/// The node evaluator of both serving layers: materialises node `id`
+/// over `base`, reading its [`node_inputs`] through `input` — Rule 1
+/// for `Project`, Rule 2 for `Join`, the semi-naive kernel for
+/// `Fixpoint`. Cache lookup, freshness and spill reload stay with the
+/// caller.
+///
+/// # Errors
+/// Scan annotation failures and fixpoint validation failures.
+pub(crate) fn eval_node<'p, 'n, M, R>(
+    monoid: &M,
+    par: Parallelism,
+    base: &BaseState<'_, M::Elem>,
+    interner: &Interner,
+    node_of: impl Fn(PlanId) -> &'p PlanExpr,
+    id: PlanId,
+    input: impl Fn(PlanId) -> &'n Node<R>,
+) -> Result<Node<R>, ServingError>
+where
+    M: TwoMonoid,
+    R: ServingBackend<Ann = M::Elem> + 'n,
+{
+    let mut stats = EngineStats::default();
+    let rel = match node_of(id) {
+        PlanExpr::Scan { rel, positions } => {
+            let vars: Vec<Var> = (0..positions.len()).map(Var).collect();
+            let mut ann = |sym: Sym, t: &Tuple| -> M::Elem {
+                base.ann
+                    .get(&Fact::new(sym, t.clone()))
+                    .cloned()
+                    .expect("database and annotation map stay in sync")
+            };
+            R::scan(
+                base.enc, base.db, interner, rel, positions, vars, &mut ann, par,
+            )?
+        }
+        PlanExpr::Project { input: from, col } => {
+            let input_rel = input(*from).rel.clone();
+            let var = input_rel.vars()[*col];
+            input_rel.project_out(monoid, var, &mut stats)
+        }
+        PlanExpr::Join { left, right } => {
+            let l = input(*left).rel.clone();
+            let mut r = input(*right).rel.clone();
+            // Shared nodes are label-free: align the labels (pure
+            // metadata — equal var *sets* per Rule 2, and both sides
+            // are keyed in ascending-label column order, so column j
+            // corresponds to column j).
+            r.relabel(l.vars().to_vec());
+            l.merge(monoid, r, &mut stats)
+        }
+        PlanExpr::Rec | PlanExpr::Compose { .. } => {
+            unreachable!("loop variables and compose steps are never materialised")
+        }
+        PlanExpr::Fixpoint { .. } => {
+            let spec = validate_fixpoint(&node_of, id)?;
+            let base_rows = input(spec.base).rel.rows();
+            let edge_rows = if spec.edges == spec.base {
+                base_rows.clone()
+            } else {
+                input(spec.edges).rel.rows()
+            };
+            let run = semi_naive(monoid, &base_rows, &edge_rows, spec.shape)?;
+            // Materialise the accumulator in the backend's layout, then
+            // move it into the *shared* dictionary numbering
+            // (`build_slots` encodes against a private dict):
+            // dictionary extensions must keep translating this node
+            // exactly like every other cached node.
+            let rows = run.rows();
+            let mut rel = R::build_slots(vec![(vec![Var(0), Var(1)], rows.clone())])
+                .map_err(|d| FixpointError::DuplicateKey { key: d.key })?
+                .into_iter()
+                .next()
+                .expect("one slot in, one slot out");
+            if R::USES_ENCODING {
+                let mut values: Vec<Value> = rows
+                    .iter()
+                    .flat_map(|(t, _)| t.values().iter().copied())
+                    .collect();
+                values.sort_unstable();
+                values.dedup();
+                let shared = base.enc.shared_dict();
+                let translation: Vec<RowCode> = values
+                    .iter()
+                    .map(|&v| {
+                        shared
+                            .code(v)
+                            .expect("accumulator values are instance values")
+                    })
+                    .collect();
+                rel.translate_codes(&shared, &translation);
+            }
+            return Ok(Node {
+                rel,
+                add_ops: run.stats.add_ops,
+                mul_ops: run.stats.mul_ops,
+                fix: Some(run),
+            });
+        }
+    };
+    Ok(Node {
+        rel,
+        add_ops: stats.add_ops,
+        mul_ops: stats.mul_ops,
+        fix: None,
+    })
+}
+
+/// Replays a lowered query's value, op counts and support trajectory
+/// from its materialised nodes — zero monoid operations.
+pub(crate) fn replay<'n, M, R>(
+    monoid: &M,
+    lowered: &LoweredQuery,
+    node: impl Fn(PlanId) -> &'n Node<R>,
+) -> (M::Elem, EngineStats)
+where
+    M: TwoMonoid,
+    R: Storage<Ann = M::Elem> + 'n,
+{
+    let mut stats = EngineStats::default();
+    let mut slot_nodes = lowered.scans.clone();
+    let mut alive = vec![true; slot_nodes.len()];
+    let support = |slot_nodes: &[PlanId], alive: &[bool]| -> usize {
+        slot_nodes
+            .iter()
+            .zip(alive)
+            .filter(|&(_, &a)| a)
+            .map(|(&id, _)| node(id).rel.support_size())
+            .sum()
+    };
+    stats.support_sizes.push(support(&slot_nodes, &alive));
+    for step in &lowered.steps {
+        let n = node(step.node);
+        stats.add_ops += n.add_ops;
+        stats.mul_ops += n.mul_ops;
+        if let Some(k) = step.killed {
+            alive[k] = false;
+        }
+        slot_nodes[step.touched] = step.node;
+        stats.support_sizes.push(support(&slot_nodes, &alive));
+    }
+    let value = node(lowered.root).rel.nullary_value(monoid);
+    (value, stats)
+}
+
 /// A multi-query serving session over one annotated database. See the
 /// module docs for the sharing, determinism and invalidation model.
 pub struct ServingSession<M, R = ColumnarRelation<<M as TwoMonoid>::Elem>>
@@ -649,11 +836,6 @@ where
     spill_writes: u64,
     /// Cache misses served by reloading spilled bytes.
     spill_reloads: u64,
-    /// Kernel state of every cached [`PlanExpr::Fixpoint`] node: the
-    /// round-stratified accumulator, per-round deltas and fresh-exact
-    /// stats that [`patch_inserts`] needs to keep the node warm under
-    /// pure-insert updates. Lives and dies with the node's cache entry.
-    fix_state: HashMap<PlanId, FixpointRun<M::Elem>>,
 }
 
 impl<M, R> ServingSession<M, R>
@@ -750,7 +932,6 @@ where
             spilled: HashMap::new(),
             spill_writes: 0,
             spill_reloads: 0,
-            fix_state: HashMap::new(),
         })
     }
 
@@ -785,7 +966,7 @@ where
     /// Total rows materialised across the cached plan nodes — the
     /// quantity [`ServingSession::set_cache_budget`] bounds.
     pub fn cached_rows(&self) -> usize {
-        self.cache.values().map(|n| n.rel.support_size()).sum()
+        self.cache.values().map(|n| n.node.rel.support_size()).sum()
     }
 
     /// Nodes evicted by the cache budget so far.
@@ -799,7 +980,10 @@ where
     /// tier this is the post-encoding footprint the block format
     /// actually holds resident.
     pub fn cached_bytes(&self) -> usize {
-        self.cache.values().map(|n| n.rel.storage_bytes()).sum()
+        self.cache
+            .values()
+            .map(|n| n.node.rel.storage_bytes())
+            .sum()
     }
 
     /// What the same cached nodes would occupy as dense columnar
@@ -810,8 +994,8 @@ where
         self.cache
             .values()
             .map(|n| {
-                n.rel.support_size()
-                    * (n.rel.vars().len() * size_of::<RowCode>() + size_of::<M::Elem>())
+                n.node.rel.support_size()
+                    * (n.node.rel.vars().len() * size_of::<RowCode>() + size_of::<M::Elem>())
             })
             .sum()
     }
@@ -897,7 +1081,7 @@ where
 
     /// The rebuild-fallback fraction currently in force: the explicit
     /// [`ServingSession::set_patch_fraction`] override if one was set,
-    /// [`DEFAULT_PATCH_FRACTION`] otherwise. Without an override,
+    /// `DEFAULT_PATCH_FRACTION` (0.5) otherwise. Without an override,
     /// Rule 1 nodes that have measured their refold cost replace the
     /// fraction rule with a per-node cost estimate.
     pub fn patch_fraction(&self) -> f64 {
@@ -945,7 +1129,7 @@ where
         for id in lowered.nodes().collect::<Vec<_>>() {
             self.ensure(id, interner)?;
         }
-        let out = self.replay(&lowered);
+        let out = replay(&self.monoid, &lowered, |n| &self.cache[&n].node);
         self.evict_to_budget();
         Ok(out)
     }
@@ -959,16 +1143,9 @@ where
     /// patching in [`ServingSession::update_batch`], and subject to
     /// the same cache budget and eviction policy.
     ///
-    /// The readout depends on the bound arguments: `src` and `dst`
-    /// both given → the annotation of that pair (`0` outside the
-    /// support); only `src` → the ⊕-fold over every pair reachable
-    /// from `src` in ascending target order; only `dst` → the ⊕-fold
-    /// over every pair reaching `dst` in ascending source order;
-    /// neither → the ⊕-fold over the whole accumulator. Folds are
-    /// readouts (not op-counted), like the nullary readout of
-    /// non-recursive queries; the reported stats replay the recorded
-    /// fixpoint run — ⊕/⊗ counts plus the per-round support
-    /// trajectory.
+    /// The value is [`FixpointRun::readout`] at the bound endpoints;
+    /// the reported stats replay the recorded fixpoint run — ⊕/⊗
+    /// counts plus the per-round support trajectory.
     ///
     /// # Errors
     /// [`ServingError::Fixpoint`] on a non-convergent monoid or a
@@ -983,35 +1160,14 @@ where
         self.query_tick += 1;
         let fix = self.lower_fix(rel);
         self.ensure(fix, interner)?;
-        if !self.fix_state.contains_key(&fix) {
-            // The node was adopted from outside (server promotion)
-            // without its kernel state: recompute both together.
-            self.cache.remove(&fix);
-            self.ensure(fix, interner)?;
-        }
-        let run = &self.fix_state[&fix];
-        let value = match (src, dst) {
-            (Some(s), Some(d)) => run.get(s, d).cloned().unwrap_or_else(|| self.monoid.zero()),
-            (Some(s), None) => self.monoid.sum(
-                run.acc
-                    .range((s, Value::Int(i64::MIN))..)
-                    .take_while(|(&(a, _), _)| a == s)
-                    .map(|(_, (k, _))| k),
-            ),
-            (None, Some(d)) => self.monoid.sum(
-                run.acc
-                    .iter()
-                    .filter(|(&(_, b), _)| b == d)
-                    .map(|(_, (k, _))| k),
-            ),
-            (None, None) => run.total.clone(),
-        };
-        let stats = run.stats.clone();
-        if let Some(entry) = self.cache.get_mut(&fix) {
-            entry.last_used = self.query_tick;
-        }
+        let run = self.cache[&fix]
+            .node
+            .fix
+            .as_ref()
+            .expect("fixpoint nodes always carry their kernel run");
+        let out = (run.readout(&self.monoid, src, dst), run.stats.clone());
         self.evict_to_budget();
-        Ok((value, stats))
+        Ok(out)
     }
 
     /// Evaluates a batch of queries in order. Common sub-plans across
@@ -1168,7 +1324,7 @@ where
                 .clone()
                 .expect("dict_extended implies a translation");
             for node in self.cache.values_mut() {
-                node.rel.translate_codes(&dict, &translation);
+                node.node.rel.translate_codes(&dict, &translation);
                 outcome.dict_extensions += 1;
             }
             // Spilled bytes are fixed in the *old* code space and, on
@@ -1230,7 +1386,7 @@ where
                             continue; // arity-mismatched delete: no-op
                         }
                         let key = fact.tuple.project(&positions);
-                        let Some(native) = entry.rel.key_of(&key) else {
+                        let Some(native) = entry.node.rel.key_of(&key) else {
                             // Only a delete can carry values outside
                             // the (already refreshed) dictionary: the
                             // key cannot be stored, nothing changes.
@@ -1239,17 +1395,17 @@ where
                         };
                         touched_keys
                             .entry(native.clone())
-                            .or_insert_with(|| entry.rel.get_key(&native));
+                            .or_insert_with(|| entry.node.rel.get_key(&native));
                         let v = if self.monoid.is_zero(value) {
                             None
                         } else {
                             Some((*value).clone())
                         };
-                        entry.rel.set_key(&native, v);
+                        entry.node.rel.set_key(&native, v);
                     }
                     let mut ch = BTreeMap::new();
                     for (k, old) in touched_keys {
-                        let new = entry.rel.get_key(&k);
+                        let new = entry.node.rel.get_key(&k);
                         if old != new {
                             ch.insert(k, (old, new));
                         }
@@ -1278,7 +1434,7 @@ where
                     }
                     let cin = cin.clone();
                     let mut entry = self.cache.remove(&id).expect("iterating live ids");
-                    let input_rel = &self.cache[&input].rel;
+                    let input_rel = &self.cache[&input].node.rel;
                     let keep: Vec<usize> =
                         (0..input_rel.vars().len()).filter(|&i| i != col).collect();
                     // Dirty output groups, plus the input's row movement
@@ -1303,7 +1459,7 @@ where
                     }
                     if self.past_project_threshold(
                         groups.len(),
-                        entry.rel.support_size(),
+                        entry.node.rel.support_size(),
                         entry.refold_rows_ewma,
                         input_rel.support_size(),
                     ) {
@@ -1329,16 +1485,16 @@ where
                         let old_rows = rows as i64 - ins + del;
                         groups_delta += i64::from(rows > 0) - i64::from(old_rows > 0);
                         let new = acc.filter(|v| !self.monoid.is_zero(v));
-                        let old = entry.rel.get_key(&g);
+                        let old = entry.node.rel.get_key(&g);
                         if old != new {
-                            entry.rel.set_key(&g, new.clone());
+                            entry.node.rel.set_key(&g, new.clone());
                             ch.insert(g, (old, new));
                         }
                     }
                     // Fresh Rule 1 accounting is `rows − groups` (one ⊕
                     // per combine into an existing group): maintain it
                     // exactly from the batch's movement.
-                    entry.add_ops = (entry.add_ops as i64 + rows_delta - groups_delta)
+                    entry.node.add_ops = (entry.node.add_ops as i64 + rows_delta - groups_delta)
                         .try_into()
                         .expect("Rule 1 op accounting stays non-negative");
                     // Fold the measured patch cost into the node's
@@ -1374,12 +1530,13 @@ where
                     }
                     let mut entry = self.cache.remove(&id).expect("iterating live ids");
                     let dirty_keys: BTreeSet<&R::Key> = cl.keys().chain(cr.keys()).collect();
-                    if self.past_rebuild_threshold(dirty_keys.len(), entry.rel.support_size()) {
+                    if self.past_rebuild_threshold(dirty_keys.len(), entry.node.rel.support_size())
+                    {
                         outcome.invalidated += 1;
                         continue; // entry already removed: rebuilds lazily
                     }
-                    let l = &self.cache[&left].rel;
-                    let r = &self.cache[&right].rel;
+                    let l = &self.cache[&left].node.rel;
+                    let r = &self.cache[&right].node.rel;
                     let zero = self.monoid.zero();
                     let annihilating = self.monoid.annihilating();
                     let mut ch = BTreeMap::new();
@@ -1422,9 +1579,9 @@ where
                             }
                         };
                         let new = new.filter(|v| !self.monoid.is_zero(v));
-                        let old = entry.rel.get_key(k);
+                        let old = entry.node.rel.get_key(k);
                         if old != new {
-                            entry.rel.set_key(k, new.clone());
+                            entry.node.rel.set_key(k, new.clone());
                             ch.insert(k.clone(), (old, new));
                         }
                     }
@@ -1436,7 +1593,7 @@ where
                     } else {
                         left_delta + right_delta - matches_delta
                     };
-                    entry.mul_ops = (entry.mul_ops as i64 + mul_delta)
+                    entry.node.mul_ops = (entry.node.mul_ops as i64 + mul_delta)
                         .try_into()
                         .expect("Rule 2 op accounting stays non-negative");
                     entry.valid_at = self.epoch;
@@ -1452,15 +1609,16 @@ where
                     // re-enters the loop as a round-0 delta and
                     // propagates through the stratified accumulator
                     // ([`patch_inserts`]). Anything else — deletes,
-                    // value modifications, missing kernel state, a
-                    // restratifying insert, or a delta past the rebuild
-                    // threshold — drops the node (lazy rebuild).
+                    // value modifications, a restratifying insert, or a
+                    // delta past the rebuild threshold — drops the node
+                    // (lazy rebuild).
                     let mut entry = self.cache.remove(&id).expect("iterating live ids");
-                    let Some(mut run) = self.fix_state.remove(&id) else {
-                        outcome.invalidated += 1;
-                        continue;
-                    };
-                    let Ok(spec) = validate_fixpoint(&self.ir, id) else {
+                    let mut run = entry
+                        .node
+                        .fix
+                        .take()
+                        .expect("fixpoint nodes carry their run");
+                    let Ok(spec) = validate_fixpoint(|n| self.ir.node(n), id) else {
                         outcome.invalidated += 1;
                         continue;
                     };
@@ -1509,7 +1667,9 @@ where
                         deltas.insert(sid, new_rows);
                     }
                     let dirty: usize = deltas.values().map(Vec::len).sum();
-                    if !patchable || self.past_rebuild_threshold(dirty, entry.rel.support_size()) {
+                    if !patchable
+                        || self.past_rebuild_threshold(dirty, entry.node.rel.support_size())
+                    {
                         outcome.invalidated += 1;
                         continue;
                     }
@@ -1519,7 +1679,7 @@ where
                     } else {
                         deltas.remove(&spec.base).unwrap_or_default()
                     };
-                    let edge_rows = self.cache[&spec.edges].rel.rows();
+                    let edge_rows = self.cache[&spec.edges].node.rel.rows();
                     match patch_inserts(
                         &self.monoid,
                         &mut run,
@@ -1534,13 +1694,13 @@ where
                             // Point-patch the cached accumulator copy:
                             // exactly the rows the kernel wrote.
                             for ((a, b), v) in &patch.written {
-                                entry.rel.set(&Tuple::new([*a, *b]), Some(v.clone()));
+                                entry.node.rel.set(&Tuple::new([*a, *b]), Some(v.clone()));
                             }
-                            entry.add_ops = run.stats.add_ops;
-                            entry.mul_ops = run.stats.mul_ops;
+                            entry.node.add_ops = run.stats.add_ops;
+                            entry.node.mul_ops = run.stats.mul_ops;
+                            entry.node.fix = Some(run);
                             entry.valid_at = self.epoch;
                             self.cache.insert(id, entry);
-                            self.fix_state.insert(id, run);
                             outcome.patched_nodes += 1;
                         }
                         Ok(PatchOutcome::Rebuild) | Err(_) => {
@@ -1588,14 +1748,6 @@ where
         self.ir.intern(PlanExpr::Fixpoint { base: scan, step })
     }
 
-    /// The recorded kernel run of a cached fixpoint node — what the
-    /// server replicates into its shared epoch caches alongside the
-    /// materialised relation, and hands back on adoption so the writer
-    /// keeps delta-patching instead of rebuilding.
-    pub(crate) fn fix_run(&self, id: PlanId) -> Option<&FixpointRun<M::Elem>> {
-        self.fix_state.get(&id)
-    }
-
     /// The structural expression of one interned plan node.
     pub(crate) fn plan_node(&self, id: PlanId) -> PlanExpr {
         self.ir.node(id).clone()
@@ -1633,13 +1785,10 @@ where
         &self.ann
     }
 
-    /// Iterates the materialised node cache as
-    /// `(id, relation, add_ops, mul_ops)` — the export surface the
+    /// Iterates the materialised node cache — the export surface the
     /// multi-tenant server promotes patched nodes from.
-    pub(crate) fn cache_entries(&self) -> impl Iterator<Item = (PlanId, &R, u64, u64)> {
-        self.cache
-            .iter()
-            .map(|(&id, n)| (id, &n.rel, n.add_ops, n.mul_ops))
+    pub(crate) fn cache_nodes(&self) -> impl Iterator<Item = (PlanId, &Node<R>)> {
+        self.cache.iter().map(|(&id, n)| (id, &n.node))
     }
 
     /// Whether node `id` is materialised.
@@ -1647,42 +1796,19 @@ where
         self.cache.contains_key(&id)
     }
 
-    /// Adopts an externally materialised node as current. The caller
-    /// guarantees `rel` (and its recorded op counts) are exactly what
+    /// Adopts an externally materialised node as current — a fixpoint
+    /// node together with its kernel run, so the next `update_batch`
+    /// can delta-patch it. The caller guarantees `node` is exactly what
     /// this session's `ensure` would compute for `id` at the current
     /// state — the server checks this by stamping cache entries with
     /// the per-relation dirty epochs before handing them over.
-    pub(crate) fn adopt_node(&mut self, id: PlanId, rel: R, add_ops: u64, mul_ops: u64) {
+    pub(crate) fn adopt_node(&mut self, id: PlanId, node: Node<R>) {
         self.cache.entry(id).or_insert(CachedNode {
-            rel,
-            add_ops,
-            mul_ops,
+            node,
             valid_at: self.epoch,
             last_used: self.query_tick,
             refold_rows_ewma: 0.0,
         });
-    }
-
-    /// [`ServingSession::adopt_node`] for a fixpoint node: the
-    /// materialised accumulator arrives together with its recorded
-    /// kernel [`FixpointRun`], so the next `update_batch` can
-    /// delta-patch the adopted node instead of invalidating it.
-    pub(crate) fn adopt_fix_node(&mut self, id: PlanId, rel: R, run: FixpointRun<M::Elem>) {
-        if self.cache.contains_key(&id) {
-            return;
-        }
-        self.cache.insert(
-            id,
-            CachedNode {
-                rel,
-                add_ops: run.stats.add_ops,
-                mul_ops: run.stats.mul_ops,
-                valid_at: self.epoch,
-                last_used: self.query_tick,
-                refold_rows_ewma: 0.0,
-            },
-        );
-        self.fix_state.insert(id, run);
     }
 
     /// One merge side's change set for the delta walk: the recorded
@@ -1749,8 +1875,8 @@ where
         let mut order: Vec<(u64, Reverse<usize>, PlanId)> = self
             .cache
             .iter()
-            .filter(|(_, n)| n.rel.support_size() > 0)
-            .map(|(&id, n)| (n.last_used, Reverse(n.rel.support_size()), id))
+            .filter(|(_, n)| n.node.rel.support_size() > 0)
+            .map(|(&id, n)| (n.last_used, Reverse(n.node.rel.support_size()), id))
             .collect();
         order.sort_unstable();
         for (_, Reverse(rows), id) in order {
@@ -1759,10 +1885,6 @@ where
             }
             let node = self.cache.remove(&id).expect("iterating live ids");
             self.maybe_spill(id, &node);
-            // An evicted fixpoint node's kernel state goes with it: the
-            // run rebuilds together with the node on the next recursive
-            // query that needs it.
-            self.fix_state.remove(&id);
             total -= rows;
             self.evictions += 1;
         }
@@ -1775,7 +1897,7 @@ where
         if !self.spill_enabled || !R::SPILLABLE {
             return;
         }
-        if self.fix_state.contains_key(&id) {
+        if node.node.fix.is_some() {
             // Spilled bytes restore only the relation — not the kernel
             // state a fixpoint node needs to patch or answer point
             // reads — so fixpoint victims always rebuild instead.
@@ -1791,7 +1913,7 @@ where
         let Some(seg) = self.spill.as_mut() else {
             return;
         };
-        let Some((offset, len)) = seg.append(&node.rel.spill()) else {
+        let Some((offset, len)) = seg.append(&node.node.rel.spill()) else {
             return;
         };
         self.spilled.insert(
@@ -1799,8 +1921,8 @@ where
             SpilledNode {
                 offset,
                 len,
-                add_ops: node.add_ops,
-                mul_ops: node.mul_ops,
+                add_ops: node.node.add_ops,
+                mul_ops: node.node.mul_ops,
                 valid_at: node.valid_at,
                 refold_rows_ewma: node.refold_rows_ewma,
             },
@@ -1818,9 +1940,12 @@ where
         let rel = R::unspill(&bytes, &self.enc.shared_dict())?;
         self.spill_reloads += 1;
         Some(CachedNode {
-            rel,
-            add_ops: entry.add_ops,
-            mul_ops: entry.mul_ops,
+            node: Node {
+                rel,
+                add_ops: entry.add_ops,
+                mul_ops: entry.mul_ops,
+                fix: None,
+            },
             valid_at: entry.valid_at,
             last_used: self.query_tick,
             refold_rows_ewma: entry.refold_rows_ewma,
@@ -1866,129 +1991,35 @@ where
                 self.spilled.remove(&id);
             }
         }
-        let node = self.ir.node(id).clone();
-        let mut stats = EngineStats::default();
-        let rel = match node {
-            PlanExpr::Scan { rel, positions } => {
-                let vars: Vec<Var> = (0..positions.len()).map(Var).collect();
-                let ann_map = &self.ann;
-                let mut ann = |sym: Sym, t: &Tuple| -> M::Elem {
-                    ann_map
-                        .get(&Fact::new(sym, t.clone()))
-                        .cloned()
-                        .expect("database and annotation map stay in sync")
-                };
-                R::scan(
-                    &self.enc, &self.db, interner, &rel, &positions, vars, &mut ann, self.par,
-                )?
-            }
-            PlanExpr::Project { input, col } => {
-                let input_rel = self.cache[&input].rel.clone();
-                let var = input_rel.vars()[col];
-                input_rel.project_out(&self.monoid, var, &mut stats)
-            }
-            PlanExpr::Join { left, right } => {
-                let l = self.cache[&left].rel.clone();
-                let mut r = self.cache[&right].rel.clone();
-                // Shared nodes are label-free: align the labels (pure
-                // metadata — equal var *sets* per Rule 2, and both
-                // sides are keyed in ascending-label column order, so
-                // column j corresponds to column j).
-                r.relabel(l.vars().to_vec());
-                l.merge(&self.monoid, r, &mut stats)
-            }
-            PlanExpr::Rec | PlanExpr::Compose { .. } => {
-                unreachable!("loop variables and compose steps are never materialised")
-            }
-            PlanExpr::Fixpoint { .. } => {
-                let spec = validate_fixpoint(&self.ir, id)?;
-                self.ensure(spec.base, interner)?;
-                self.ensure(spec.edges, interner)?;
-                let base_rows = self.cache[&spec.base].rel.rows();
-                let edge_rows = if spec.edges == spec.base {
-                    base_rows.clone()
-                } else {
-                    self.cache[&spec.edges].rel.rows()
-                };
-                let run = semi_naive(&self.monoid, &base_rows, &edge_rows, spec.shape)?;
-                stats.add_ops = run.stats.add_ops;
-                stats.mul_ops = run.stats.mul_ops;
-                // Materialise the accumulator in the backend's layout,
-                // then move it into the session's *shared* dictionary
-                // numbering (`build_slots` encodes against a private
-                // dict): dictionary extensions must keep translating
-                // this node exactly like every other cached node.
-                let rows = run.rows();
-                let mut rel = R::build_slots(vec![(vec![Var(0), Var(1)], rows.clone())])
-                    .map_err(|d| FixpointError::DuplicateKey { key: d.key })?
-                    .into_iter()
-                    .next()
-                    .expect("one slot in, one slot out");
-                if R::USES_ENCODING {
-                    let mut values: Vec<Value> = rows
-                        .iter()
-                        .flat_map(|(t, _)| t.values().iter().copied())
-                        .collect();
-                    values.sort_unstable();
-                    values.dedup();
-                    let shared = self.enc.shared_dict();
-                    let translation: Vec<RowCode> = values
-                        .iter()
-                        .map(|&v| {
-                            shared
-                                .code(v)
-                                .expect("accumulator values are instance values")
-                        })
-                        .collect();
-                    rel.translate_codes(&shared, &translation);
-                }
-                self.fix_state.insert(id, run);
-                rel
-            }
+        for input in node_inputs(|n| self.ir.node(n), id)? {
+            self.ensure(input, interner)?;
+        }
+        let base = BaseState {
+            enc: &self.enc,
+            db: &self.db,
+            ann: &self.ann,
         };
-        self.performed_add += stats.add_ops;
-        self.performed_mul += stats.mul_ops;
+        let node = eval_node(
+            &self.monoid,
+            self.par,
+            &base,
+            interner,
+            |n| self.ir.node(n),
+            id,
+            |n| &self.cache[&n].node,
+        )?;
+        self.performed_add += node.add_ops;
+        self.performed_mul += node.mul_ops;
         self.cache.insert(
             id,
             CachedNode {
-                rel,
-                add_ops: stats.add_ops,
-                mul_ops: stats.mul_ops,
+                node,
                 valid_at: self.epoch,
                 last_used: self.query_tick,
                 refold_rows_ewma: 0.0,
             },
         );
         Ok(())
-    }
-
-    /// Replays a lowered query's value, op counts and support
-    /// trajectory from the cached nodes — zero monoid operations.
-    fn replay(&self, lowered: &LoweredQuery) -> (M::Elem, EngineStats) {
-        let mut stats = EngineStats::default();
-        let mut slot_nodes = lowered.scans.clone();
-        let mut alive = vec![true; slot_nodes.len()];
-        let support = |slot_nodes: &[PlanId], alive: &[bool]| -> usize {
-            slot_nodes
-                .iter()
-                .zip(alive)
-                .filter(|&(_, &a)| a)
-                .map(|(id, _)| self.cache[id].rel.support_size())
-                .sum()
-        };
-        stats.support_sizes.push(support(&slot_nodes, &alive));
-        for step in &lowered.steps {
-            let c = &self.cache[&step.node];
-            stats.add_ops += c.add_ops;
-            stats.mul_ops += c.mul_ops;
-            if let Some(k) = step.killed {
-                alive[k] = false;
-            }
-            slot_nodes[step.touched] = step.node;
-            stats.support_sizes.push(support(&slot_nodes, &alive));
-        }
-        let value = self.cache[&lowered.root].rel.nullary_value(&self.monoid);
-        (value, stats)
     }
 }
 

@@ -18,13 +18,16 @@
 //! not fixpoint-convergent ([`SatCountMonoid`]) is rejected with a
 //! validation error at both the kernel and the serving layer instead
 //! of looping forever; and the multi-tenant [`Server`] serves the same
-//! bits as a serial session before and after an epoch publish.
+//! bits as a serial session before and after an epoch publish — and
+//! patches a reader-warmed fixpoint in place under a pure-insert
+//! commit instead of rebuilding it.
 
 use hq_db::{Fact, Interner, Tuple, Value};
 use hq_monoid::{BagMaxMonoid, CountMonoid, ProbMonoid, SatCountMonoid, SatVec, TwoMonoid};
 use hq_unify::engine::EngineStats;
 use hq_unify::fixpoint::{
-    patch_inserts, transitive_closure, FixpointError, FixpointRun, PatchOutcome, StepShape,
+    patch_inserts, semi_naive, transitive_closure, FixpointError, FixpointRun, PatchOutcome,
+    StepShape,
 };
 use hq_unify::{
     ColumnarRelation, CompressedAnn, CompressedColumnar, MapRelation, Parallelism, Server,
@@ -373,6 +376,87 @@ fn server_epoch_publish_serves_bit_identical_fixpoints() {
             assert_eq!(want.to_bits(), got.to_bits(), "post-publish diverged");
             assert_eq!(want_stats, stats, "post-publish stats diverged");
         }
+    }
+
+    check::<MapRelation<f64>>(Parallelism::default());
+    check::<ColumnarRelation<f64>>(Parallelism::default());
+    check::<CompressedColumnar<f64>>(Parallelism::default());
+    for &t in &THREADS {
+        check::<ShardedColumnar<f64>>(Parallelism::fine_grained(t));
+    }
+}
+
+/// A fixpoint node warmed by a reader — so the writer's master never
+/// cached it — is adopted by the next commit together with its kernel
+/// run and patched in place under a pure-insert batch with no novel
+/// value: answers and stats stay bit-identical to a serial session,
+/// the writer performs strictly fewer ops than a fresh fixpoint over
+/// the post-insert edges, and the post-commit read is a zero-op hit on
+/// the patched node the commit exported.
+#[test]
+fn server_patches_reader_warmed_fixpoint_under_pure_inserts() {
+    fn check<R>(par: Parallelism)
+    where
+        R: hq_unify::ServingBackend<Ann = f64> + Send + Sync,
+    {
+        let mut interner = Interner::new();
+        let e = interner.intern("E");
+        let edge = |a: i64, b: i64, p: f64| (Fact::new(e, Tuple::ints(&[a, b])), p);
+        let mut facts: Vec<(Fact, f64)> = [(1, 2), (2, 3), (3, 4), (5, 1)]
+            .iter()
+            .enumerate()
+            .map(|(j, &(a, b))| edge(a, b, 0.2 + 0.07 * j as f64))
+            .collect();
+        let mut serial: ServingSession<ProbMonoid, R> =
+            ServingSession::with_parallelism(ProbMonoid, &interner, facts.iter().cloned(), par)
+                .unwrap();
+        let server: Server<ProbMonoid, R> =
+            Server::with_parallelism(ProbMonoid, &interner, facts.iter().cloned(), par).unwrap();
+        let session = server.session();
+        let assert_same = |serial: &mut ServingSession<ProbMonoid, R>, when: &str| {
+            for (src, dst) in [
+                (None, None),
+                (Some(Value::Int(1)), None),
+                (Some(Value::Int(4)), Some(Value::Int(1))),
+                (None, Some(Value::Int(5))),
+            ] {
+                let (want, want_stats) = serial.query_fix(&interner, "E", src, dst).unwrap();
+                let (got, stats) = session.query_fix(&interner, "E", src, dst).unwrap();
+                assert_eq!(want.to_bits(), got.to_bits(), "{when}: value diverged");
+                assert_eq!(want_stats, stats, "{when}: stats diverged");
+            }
+        };
+        assert_same(&mut serial, "reader-warmed");
+
+        // (4, 5) closes the cycle over values already interned.
+        let insert = edge(4, 5, 0.45);
+        serial.update(&interner, &insert.0, insert.1).unwrap();
+        let writer_before = server.writer_ops_performed();
+        let outcome = server
+            .update_batch(&interner, std::slice::from_ref(&insert))
+            .unwrap();
+        assert!(!outcome.refresh.dict_extended, "{outcome:?}");
+        assert_eq!(
+            (outcome.patched_nodes, outcome.invalidated),
+            (1, 0),
+            "the adopted fixpoint must patch, not drop: {outcome:?}"
+        );
+        let writer_ops = server.writer_ops_performed() - writer_before;
+        facts.push(insert);
+        let edges: Vec<(Tuple, f64)> = facts.iter().map(|(f, p)| (f.tuple.clone(), *p)).collect();
+        let fresh = semi_naive(&ProbMonoid, &edges, &edges, StepShape::LeftLinear).unwrap();
+        assert!(
+            writer_ops > 0 && writer_ops < fresh.stats.total_ops(),
+            "patch ops {writer_ops} vs fresh {}",
+            fresh.stats.total_ops()
+        );
+        let reader_before = server.ops_performed();
+        assert_same(&mut serial, "post-commit");
+        assert_eq!(
+            server.ops_performed(),
+            reader_before,
+            "the exported patched node serves zero-op"
+        );
     }
 
     check::<MapRelation<f64>>(Parallelism::default());

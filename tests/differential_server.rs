@@ -17,6 +17,11 @@
 //! the batches in commit order — each [`CommitReceipt::seq`] tells the
 //! oracle where its batch landed.
 //!
+//! On states of at most [`ORACLE_FACTS`] facts every current-epoch
+//! answer is also checked against possible-worlds brute force
+//! ([`worlds::probability_exhaustive`]), an oracle independent of the
+//! engine under test.
+//!
 //! Non-prop pins: zero pool-thread spawns per request after warmup,
 //! the global memory governor bounding total cached rows across
 //! sessions under eviction pressure, the epoch lifecycle edge cases (a
@@ -29,6 +34,7 @@
 mod common;
 
 use common::random_instance;
+use hq_baselines::worlds;
 use hq_db::{Database, Fact, Interner, Tuple};
 use hq_monoid::ProbMonoid;
 use hq_query::Query;
@@ -39,7 +45,7 @@ use hq_unify::{
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Thread counts for the sharded servers.
@@ -50,6 +56,9 @@ const READERS: usize = 3;
 
 /// Concurrent writer threads in the group-commit rounds.
 const WRITERS: usize = 3;
+
+/// Largest state (in facts) the possible-worlds oracle enumerates.
+const ORACLE_FACTS: usize = 12;
 
 /// Fresh `evaluate_encoded` over a model state — the serial-replay
 /// oracle each epoch-tagged query is compared against.
@@ -122,15 +131,21 @@ fn interleaved_round<R>(
 }
 
 /// Post-round check: an unpinned session sees the post-batch epoch.
+/// Returns how many answers were also checked against possible-worlds
+/// brute force (every answer, when the state holds at most
+/// [`ORACLE_FACTS`] facts; none otherwise).
 fn assert_current_state<R>(
     server: &Server<ProbMonoid, R>,
     interner: &Interner,
     family: &[Query],
     current: &BTreeMap<Fact, f64>,
-) where
+) -> usize
+where
     R: ServingBackend<Ann = f64>,
 {
     let session = server.session();
+    let small = current.len() <= ORACLE_FACTS;
+    let list: Vec<(Fact, f64)> = current.iter().map(|(f, p)| (f.clone(), *p)).collect();
     for q in family {
         let (want, want_stats) = fresh_encoded(q, interner, current);
         let (got, stats) = session.query(interner, q).unwrap();
@@ -140,6 +155,18 @@ fn assert_current_state<R>(
             "current epoch diverged from fresh evaluation on {q}"
         );
         assert_eq!(stats, want_stats, "current-epoch stats diverged on {q}");
+        if small {
+            let worlds = worlds::probability_exhaustive(q, interner, &list);
+            assert!(
+                (got - worlds).abs() <= 1e-9,
+                "served {got} vs possible worlds {worlds} on {q}"
+            );
+        }
+    }
+    if small {
+        family.len()
+    } else {
+        0
     }
 }
 
@@ -225,16 +252,19 @@ fn apply_to_model(current: &mut BTreeMap<Fact, f64>, batch: &[(Fact, f64)]) {
 }
 
 /// Drives the interleaved N-reader/1-writer schedule against one
-/// server and the serial oracle for `rounds` rounds.
+/// server and the serial oracle, one round per batch. Returns how many
+/// answers the possible-worlds oracle checked.
 fn drive<R>(
     server: &Server<ProbMonoid, R>,
     interner: &Interner,
     family: &[Query],
     mut current: BTreeMap<Fact, f64>,
     batches: &[Vec<(Fact, f64)>],
-) where
+) -> usize
+where
     R: ServingBackend<Ann = f64> + Send + Sync,
 {
+    let mut oracle_checked = 0;
     for batch in batches {
         let expect: Vec<(u64, EngineStats)> = family
             .iter()
@@ -245,8 +275,9 @@ fn drive<R>(
             .collect();
         interleaved_round(server, interner, family, &expect, batch);
         apply_to_model(&mut current, batch);
-        assert_current_state(server, interner, family, &current);
+        oracle_checked += assert_current_state(server, interner, family, &current);
     }
+    oracle_checked
 }
 
 /// One concurrent-writer round: `READERS` sessions pinned at the
@@ -443,6 +474,36 @@ fn small_instance() -> (Interner, Vec<(Fact, f64)>, Query) {
 
 fn model_of(tid: &[(Fact, f64)]) -> BTreeMap<Fact, f64> {
     tid.iter().cloned().collect()
+}
+
+/// The independent-oracle arm runs: a fixed-seed schedule of 24
+/// batches over `small_instance` keeps the state small enough for
+/// possible-worlds enumeration, and every current-epoch answer on
+/// every backend agrees with it (|Δ| ≤ 1e-9) as well as with fresh
+/// evaluation.
+#[test]
+fn small_states_match_possible_worlds_oracle() {
+    fn check<R: ServingBackend<Ann = f64> + Send + Sync>(par: Parallelism) {
+        let (interner, tid, q) = small_instance();
+        let family = query_family(&q);
+        let rels = query_rels(&q, &interner);
+        let facts: Vec<Fact> = tid.iter().map(|(f, _)| f.clone()).collect();
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let batches: Vec<Vec<(Fact, f64)>> = (0..24)
+            .map(|_| random_batch(&mut rng, &facts, &rels, 5))
+            .collect();
+        let server: Server<ProbMonoid, R> =
+            Server::with_parallelism(ProbMonoid, &interner, tid.iter().cloned(), par).unwrap();
+        let checked = drive(&server, &interner, &family, model_of(&tid), &batches);
+        assert!(
+            checked >= 20 * family.len(),
+            "the oracle arm checked only {checked} answers"
+        );
+    }
+    check::<MapRelation<f64>>(Parallelism::default());
+    check::<ColumnarRelation<f64>>(Parallelism::default());
+    check::<CompressedColumnar<f64>>(Parallelism::default());
+    check::<ShardedColumnar<f64>>(Parallelism::fine_grained(2));
 }
 
 /// Zero pool-thread spawns per request after warmup: the sharded
