@@ -5,7 +5,8 @@
 //!
 //! * [`worlds`] — exact PQE by possible-world enumeration (sequential,
 //!   crossbeam-parallel, and exact-rational variants) plus a
-//!   Monte-Carlo estimator;
+//!   Monte-Carlo estimator, and exact reachability over probabilistic
+//!   edges by the same enumeration;
 //! * [`bsm_bf`] — Bag-Set Maximization by repair-subset enumeration
 //!   (works for any SJF-BCQ, including non-hierarchical ones);
 //! * [`shapley_bf`] — `#Sat` by subset enumeration and Shapley values
@@ -31,5 +32,5 @@ pub use bsm_bf::{decide_bruteforce, maximize_bruteforce, BruteBsm};
 pub use shapley_bf::{sat_counts_bruteforce, shapley_by_permutations, shapley_by_subsets};
 pub use worlds::{
     probability_exhaustive, probability_exhaustive_exact, probability_exhaustive_parallel,
-    probability_monte_carlo,
+    probability_monte_carlo, reachability_exhaustive,
 };

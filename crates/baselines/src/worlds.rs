@@ -12,9 +12,10 @@
 //! fallback for non-hierarchical queries.
 
 use hq_arith::Rational;
-use hq_db::{satisfiable, Database, Fact, Interner, Pattern};
+use hq_db::{satisfiable, Database, Fact, Interner, Pattern, Tuple, Value};
 use hq_query::Query;
 use rand::Rng;
+use std::collections::BTreeSet;
 
 /// Evaluates whether `Q` holds on the world selected by `mask` over
 /// `facts`.
@@ -161,6 +162,58 @@ pub fn probability_monte_carlo(
     f64::from(hits) / f64::from(samples)
 }
 
+/// Exact reachability `P(src ⇝ dst)` over independent probabilistic
+/// edges by possible-world enumeration: the total probability of the
+/// edge subsets holding a directed path of length ≥ 1 from `src` to
+/// `dst`. The definitional oracle for the fixpoint engine's min-round
+/// relaxation (which is exact when paths are unique, as on forests).
+///
+/// # Panics
+/// Panics beyond 16 edges or on an edge tuple that is not binary.
+pub fn reachability_exhaustive(edges: &[(Tuple, f64)], src: Value, dst: Value) -> f64 {
+    assert!(
+        edges.len() <= 16,
+        "possible-world reachability beyond 16 edges"
+    );
+    let arcs: Vec<(Value, Value)> = edges
+        .iter()
+        .map(|(t, _)| {
+            assert_eq!(t.arity(), 2, "edges are binary tuples");
+            (t.get(0), t.get(1))
+        })
+        .collect();
+    let mut total = 0.0;
+    for mask in 0u32..(1 << edges.len()) {
+        if !reaches(&arcs, mask, src, dst) {
+            continue;
+        }
+        let mut p = 1.0;
+        for (i, (_, pe)) in edges.iter().enumerate() {
+            p *= if mask >> i & 1 == 1 { *pe } else { 1.0 - *pe };
+        }
+        total += p;
+    }
+    total
+}
+
+/// Whether the arcs selected by `mask` hold a path of length ≥ 1 from
+/// `src` to `dst` (depth-first search).
+fn reaches(arcs: &[(Value, Value)], mask: u32, src: Value, dst: Value) -> bool {
+    let mut seen = BTreeSet::new();
+    let mut stack = vec![src];
+    while let Some(v) = stack.pop() {
+        for (i, &(a, b)) in arcs.iter().enumerate() {
+            if mask >> i & 1 == 1 && a == v && seen.insert(b) {
+                if b == dst {
+                    return true;
+                }
+                stack.push(b);
+            }
+        }
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,5 +296,21 @@ mod tests {
         let q = q_hierarchical();
         let i = Interner::new();
         assert_eq!(probability_exhaustive(&q, &i, &[]), 0.0);
+    }
+
+    #[test]
+    fn reachability_hand_values() {
+        let e = |a: i64, b: i64, p: f64| (Tuple::ints(&[a, b]), p);
+        let v = Value::Int;
+        // One edge; no reflexive path without a cycle.
+        assert_eq!(reachability_exhaustive(&[e(1, 2, 0.3)], v(1), v(2)), 0.3);
+        assert_eq!(reachability_exhaustive(&[e(1, 2, 0.3)], v(2), v(1)), 0.0);
+        assert_eq!(reachability_exhaustive(&[e(1, 2, 0.3)], v(1), v(1)), 0.0);
+        // A 2-cycle returns to its start.
+        let cycle = [e(1, 2, 0.5), e(2, 1, 0.5)];
+        assert_eq!(reachability_exhaustive(&cycle, v(1), v(1)), 0.25);
+        // Diamond 1→{2,3}→4 at p = 1/2: 1 − (1 − 1/4)² = 7/16.
+        let diamond = [e(1, 2, 0.5), e(1, 3, 0.5), e(2, 4, 0.5), e(3, 4, 0.5)];
+        assert_eq!(reachability_exhaustive(&diamond, v(1), v(4)), 0.4375);
     }
 }

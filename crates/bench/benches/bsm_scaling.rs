@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hq_bench::{bsm_workload, host_threads, smoke_mode, thread_sweep, write_bench_summary};
-use hq_unify::{bsm, Backend, Parallelism};
+use hq_unify::{bsm, Backend, Exec, Parallelism};
 use std::time::Duration;
 
 fn bench_bsm(c: &mut Criterion) {
@@ -32,7 +32,8 @@ fn bench_bsm(c: &mut Criterion) {
                 &w,
                 |b, w| {
                     b.iter(|| {
-                        bsm::maximize_on(backend, &w.query, &w.interner, &w.d, &w.d_r, 10).unwrap()
+                        bsm::maximize_on(backend.into(), &w.query, &w.interner, &w.d, &w.d_r, 10)
+                            .unwrap()
                     })
                 },
             );
@@ -47,7 +48,7 @@ fn bench_bsm(c: &mut Criterion) {
                 &w,
                 |b, w| {
                     b.iter(|| {
-                        bsm::maximize_on(backend, &w.query, &w.interner, &w.d, &w.d_r, theta)
+                        bsm::maximize_on(backend.into(), &w.query, &w.interner, &w.d, &w.d_r, theta)
                             .unwrap()
                     })
                 },
@@ -56,8 +57,17 @@ fn bench_bsm(c: &mut Criterion) {
     }
     // Sanity: identical budget curves on the largest |D| sweep point.
     let w = bsm_workload(*d_sizes.last().unwrap(), 40, 17);
-    let map = bsm::maximize_on(Backend::Map, &w.query, &w.interner, &w.d, &w.d_r, 10).unwrap();
-    let col = bsm::maximize_on(Backend::Columnar, &w.query, &w.interner, &w.d, &w.d_r, 10).unwrap();
+    let map =
+        bsm::maximize_on(Backend::Map.into(), &w.query, &w.interner, &w.d, &w.d_r, 10).unwrap();
+    let col = bsm::maximize_on(
+        Backend::Columnar.into(),
+        &w.query,
+        &w.interner,
+        &w.d,
+        &w.d_r,
+        10,
+    )
+    .unwrap();
     assert_eq!(map.curve, col.curve, "backends disagreed");
     group.finish();
 }
@@ -88,7 +98,7 @@ fn bench_bsm_threads(_c: &mut Criterion) {
         ),
     ] {
         let seq = bsm::maximize_on(
-            Backend::Columnar,
+            Backend::Columnar.into(),
             &w.query,
             &w.interner,
             &w.d,
@@ -97,9 +107,8 @@ fn bench_bsm_threads(_c: &mut Criterion) {
         )
         .unwrap();
         entries.extend(thread_sweep(&label, &counts, 3, |threads| {
-            let sol = bsm::maximize_par(
-                Backend::Columnar,
-                Parallelism::new(threads),
+            let sol = bsm::maximize_on(
+                Exec::new(Backend::Columnar, Parallelism::new(threads)),
                 &w.query,
                 &w.interner,
                 &w.d,

@@ -31,7 +31,7 @@ use hq_db::{RowCode, Value, ValueDict};
 use hq_monoid::{CountMonoid, ProbMonoid};
 use hq_query::Var;
 use hq_unify::engine::EngineStats;
-use hq_unify::{CompressedBuilder, CompressedColumnar, ServingSession, Storage};
+use hq_unify::{CompressedBuilder, CompressedColumnar, Parallelism, ServingSession, Storage};
 use std::sync::Arc;
 
 /// Dense-columnar bytes per row of this schema (2 key codes + one
@@ -151,29 +151,37 @@ fn bench_kernels(c: &mut Criterion) {
             let mut stats = EngineStats::default();
             compressed
                 .clone()
-                .project_out(&CountMonoid, Var(1), &mut stats)
+                .project_out(&CountMonoid, Var(1), Parallelism::default(), &mut stats)
         })
     });
     group.bench_function(BenchmarkId::new("fold_dense", rows), |b| {
         b.iter(|| {
             let mut stats = EngineStats::default();
-            dense.clone().project_out(&CountMonoid, Var(1), &mut stats)
+            dense
+                .clone()
+                .project_out(&CountMonoid, Var(1), Parallelism::default(), &mut stats)
         })
     });
     group.bench_function(BenchmarkId::new("merge_compressed", rows), |b| {
         b.iter(|| {
             let mut stats = EngineStats::default();
-            compressed
-                .clone()
-                .merge(&CountMonoid, partner.clone(), &mut stats)
+            compressed.clone().merge(
+                &CountMonoid,
+                partner.clone(),
+                Parallelism::default(),
+                &mut stats,
+            )
         })
     });
     group.bench_function(BenchmarkId::new("merge_dense", rows), |b| {
         b.iter(|| {
             let mut stats = EngineStats::default();
-            dense
-                .clone()
-                .merge(&CountMonoid, partner_dense.clone(), &mut stats)
+            dense.clone().merge(
+                &CountMonoid,
+                partner_dense.clone(),
+                Parallelism::default(),
+                &mut stats,
+            )
         })
     });
     group.finish();
@@ -210,14 +218,22 @@ fn bench_compressed_summary(_c: &mut Criterion) {
             iters,
             &mut || {
                 let mut stats = EngineStats::default();
-                let out = compressed
-                    .clone()
-                    .project_out(&CountMonoid, Var(1), &mut stats);
+                let out = compressed.clone().project_out(
+                    &CountMonoid,
+                    Var(1),
+                    Parallelism::default(),
+                    &mut stats,
+                );
                 fold_c = Some((out, stats));
             },
             &mut || {
                 let mut stats = EngineStats::default();
-                let out = dense.clone().project_out(&CountMonoid, Var(1), &mut stats);
+                let out = dense.clone().project_out(
+                    &CountMonoid,
+                    Var(1),
+                    Parallelism::default(),
+                    &mut stats,
+                );
                 fold_d = Some((out, stats));
             },
         );
@@ -246,16 +262,22 @@ fn bench_compressed_summary(_c: &mut Criterion) {
             iters,
             &mut || {
                 let mut stats = EngineStats::default();
-                let out = compressed
-                    .clone()
-                    .merge(&CountMonoid, partner.clone(), &mut stats);
+                let out = compressed.clone().merge(
+                    &CountMonoid,
+                    partner.clone(),
+                    Parallelism::default(),
+                    &mut stats,
+                );
                 merge_c = Some((out, stats));
             },
             &mut || {
                 let mut stats = EngineStats::default();
-                let out = dense
-                    .clone()
-                    .merge(&CountMonoid, partner_dense.clone(), &mut stats);
+                let out = dense.clone().merge(
+                    &CountMonoid,
+                    partner_dense.clone(),
+                    Parallelism::default(),
+                    &mut stats,
+                );
                 merge_d = Some((out, stats));
             },
         );
@@ -336,7 +358,12 @@ fn bench_compressed_summary(_c: &mut Criterion) {
         if smoke { 1 } else { 3 },
         |_| {
             let mut stats = EngineStats::default();
-            folded = Some(big.clone().project_out(&CountMonoid, Var(1), &mut stats));
+            folded = Some(big.clone().project_out(
+                &CountMonoid,
+                Var(1),
+                Parallelism::default(),
+                &mut stats,
+            ));
         },
     ));
     let folded = folded.expect("folded");
@@ -355,7 +382,12 @@ fn bench_compressed_summary(_c: &mut Criterion) {
         if smoke { 1 } else { 3 },
         |_| {
             let mut stats = EngineStats::default();
-            skipped = Some(big.clone().merge(&CountMonoid, sparse.clone(), &mut stats));
+            skipped = Some(big.clone().merge(
+                &CountMonoid,
+                sparse.clone(),
+                Parallelism::default(),
+                &mut stats,
+            ));
         },
     ));
     let skipped = skipped.expect("merged");

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hq_bench::star_tid;
 use hq_monoid::ProbMonoid;
 use hq_query::{plan_with_order, PlanOrder};
-use hq_unify::{annotate, run_plan};
+use hq_unify::{annotate, run_plan, Parallelism};
 use std::time::Duration;
 
 fn bench_orders(c: &mut Criterion) {
@@ -31,7 +31,7 @@ fn bench_orders(c: &mut Criterion) {
                     w.tid.iter().map(|(f, pr)| (f.clone(), *pr)),
                 )
                 .unwrap();
-                run_plan(&ProbMonoid, p, db)
+                run_plan(&ProbMonoid, p, db, Parallelism::sequential())
             })
         });
     }
@@ -49,7 +49,7 @@ fn bench_orders(c: &mut Criterion) {
             w.tid.iter().map(|(f, pr)| (f.clone(), *pr)),
         )
         .unwrap();
-        results.push(run_plan(&ProbMonoid, &p, db).0);
+        results.push(run_plan(&ProbMonoid, &p, db, Parallelism::sequential()).0);
     }
     assert!(
         results.windows(2).all(|x| (x[0] - x[1]).abs() < 1e-9),

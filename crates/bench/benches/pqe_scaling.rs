@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hq_bench::{chain_tid, host_threads, smoke_mode, star_tid, thread_sweep, write_bench_summary};
-use hq_unify::{pqe, Backend, Parallelism};
+use hq_unify::{pqe, Backend, Exec, Parallelism};
 use std::time::Duration;
 
 fn bench_pqe(c: &mut Criterion) {
@@ -32,7 +32,9 @@ fn bench_pqe(c: &mut Criterion) {
                 BenchmarkId::new(format!("chain_{backend}"), w.tid.len()),
                 &w,
                 |b, w| {
-                    b.iter(|| pqe::probability_on(backend, &w.query, &w.interner, &w.tid).unwrap())
+                    b.iter(|| {
+                        pqe::probability_on(backend.into(), &w.query, &w.interner, &w.tid).unwrap()
+                    })
                 },
             );
             let w = star_tid(n, 12);
@@ -41,15 +43,18 @@ fn bench_pqe(c: &mut Criterion) {
                 BenchmarkId::new(format!("star_eq1_{backend}"), w.tid.len()),
                 &w,
                 |b, w| {
-                    b.iter(|| pqe::probability_on(backend, &w.query, &w.interner, &w.tid).unwrap())
+                    b.iter(|| {
+                        pqe::probability_on(backend.into(), &w.query, &w.interner, &w.tid).unwrap()
+                    })
                 },
             );
         }
     }
     // Sanity: the backends agree bit-for-bit on the largest workload.
     let w = chain_tid(*sizes.last().unwrap(), 11);
-    let pm = pqe::probability_on(Backend::Map, &w.query, &w.interner, &w.tid).unwrap();
-    let pc = pqe::probability_on(Backend::Columnar, &w.query, &w.interner, &w.tid).unwrap();
+    let pm = pqe::probability(&w.query, &w.interner, &w.tid).unwrap();
+    let (pc, _) =
+        pqe::probability_on(Backend::Columnar.into(), &w.query, &w.interner, &w.tid).unwrap();
     assert_eq!(
         pm.to_bits(),
         pc.to_bits(),
@@ -58,7 +63,7 @@ fn bench_pqe(c: &mut Criterion) {
     group.finish();
 }
 
-/// The threads axis: sharded columnar at 1/2/4/max workers on the
+/// The threads axis: columnar at 1/2/4/max workers on the
 /// largest workloads, with bit-identity asserted at every count and a
 /// machine-readable `BENCH_pqe_scaling.json` emitted for the perf
 /// trajectory.
@@ -76,16 +81,11 @@ fn bench_pqe_threads(_c: &mut Criterion) {
         (format!("chain_{n}"), chain_tid(n, 11)),
         (format!("star_eq1_{n}"), star_tid(n, 12)),
     ] {
-        let seq = pqe::probability_on(Backend::Columnar, &w.query, &w.interner, &w.tid).unwrap();
+        let columnar = Backend::Columnar.into();
+        let (seq, _) = pqe::probability_on(columnar, &w.query, &w.interner, &w.tid).unwrap();
         entries.extend(thread_sweep(&label, &counts, 5, |threads| {
-            let p = pqe::probability_par(
-                Backend::Columnar,
-                Parallelism::new(threads),
-                &w.query,
-                &w.interner,
-                &w.tid,
-            )
-            .unwrap();
+            let exec = Exec::new(Backend::Columnar, Parallelism::new(threads));
+            let (p, _) = pqe::probability_on(exec, &w.query, &w.interner, &w.tid).unwrap();
             assert_eq!(
                 seq.to_bits(),
                 p.to_bits(),

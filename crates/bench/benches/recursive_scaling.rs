@@ -12,7 +12,7 @@
 //!
 //! Bit-identity is asserted in-bench: every backend layout feeds the
 //! kernel identical rows (identical accumulator, stats and total), the
-//! sharded serving build returns the kernel's total at every thread
+//! columnar serving build returns the kernel's total at every thread
 //! count, and the patched run equals the fresh fixpoint over the
 //! post-insert edges bit for bit — while performing **strictly fewer**
 //! monoid operations and refolding strictly fewer rows (the acceptance
@@ -26,7 +26,7 @@ use hq_monoid::ProbMonoid;
 use hq_unify::fixpoint::{
     patch_inserts, transitive_closure, transitive_closure_on, PatchOutcome, StepShape,
 };
-use hq_unify::{Backend, ColumnarRelation, Parallelism, ServingSession, ShardedColumnar};
+use hq_unify::{Backend, ColumnarRelation, Parallelism, ServingSession};
 use rand::Rng;
 
 const CHAIN_LEN: i64 = 4;
@@ -128,8 +128,9 @@ fn bench_recursive_summary(_c: &mut Criterion) {
             assert_eq!(runs[0].total.to_bits(), r.total.to_bits());
         }
 
-        // --- Sharded serving build across thread counts: session
-        // construction + first `query_fix` (encode, materialise, run).
+        // --- Columnar serving build across thread counts (datapoint
+        // name kept for the bench history): session construction +
+        // first `query_fix` (encode, materialise, run).
         let total_bits = runs[0].total.to_bits();
         let mut interner = Interner::new();
         let e = interner.intern("E");
@@ -142,7 +143,7 @@ fn bench_recursive_summary(_c: &mut Criterion) {
             &[1, 2, 8],
             iters.min(4),
             |t| {
-                let mut s: ServingSession<ProbMonoid, ShardedColumnar<f64>> =
+                let mut s: ServingSession<ProbMonoid, ColumnarRelation<f64>> =
                     ServingSession::with_parallelism(
                         ProbMonoid,
                         &interner,
@@ -151,7 +152,11 @@ fn bench_recursive_summary(_c: &mut Criterion) {
                     )
                     .unwrap();
                 let (p, _) = s.query_fix(&interner, "E", None, None).unwrap();
-                assert_eq!(p.to_bits(), total_bits, "sharded serving diverged");
+                assert_eq!(
+                    p.to_bits(),
+                    total_bits,
+                    "columnar serving diverged at {t} threads"
+                );
             },
         ));
 

@@ -14,7 +14,7 @@ use hq_monoid::{
 };
 use hq_query::gen::{random_hierarchical, random_query};
 use hq_query::{example_query, is_hierarchical, plan, q_non_hierarchical, Query};
-use hq_unify::{bsm, pqe, shapley};
+use hq_unify::{bsm, pqe, shapley, Exec};
 use rand::Rng;
 
 fn main() {
@@ -192,8 +192,9 @@ fn e3() -> String {
     let mut rows = Vec::new();
     for n in [1_000usize, 2_000, 4_000, 8_000, 16_000, 32_000] {
         let w = chain_tid(n, 11);
-        let ((p, stats), ms) =
-            time_ms(|| pqe::probability_with_stats(&w.query, &w.interner, &w.tid).unwrap());
+        let ((p, stats), ms) = time_ms(|| {
+            pqe::probability_on(Exec::default(), &w.query, &w.interner, &w.tid).unwrap()
+        });
         let facts = w.tid.len();
         rows.push(vec![
             facts.to_string(),
@@ -609,7 +610,8 @@ fn e11() -> String {
     let mut rows = Vec::new();
     for n in [1_000usize, 2_000, 4_000, 8_000] {
         let w = star_tid(n, 53);
-        let (_, stats) = pqe::probability_with_stats(&w.query, &w.interner, &w.tid).unwrap();
+        let (_, stats) =
+            pqe::probability_on(Exec::default(), &w.query, &w.interner, &w.tid).unwrap();
         rows.push(vec![
             w.tid.len().to_string(),
             stats.total_ops().to_string(),
@@ -783,7 +785,7 @@ fn e13() -> String {
 
 fn e14() -> String {
     use hq_query::{plan_with_order, PlanOrder};
-    use hq_unify::{annotate, run_plan};
+    use hq_unify::{annotate, run_plan, Parallelism};
     let w = star_tid(8_000, 61);
     let mut rows = Vec::new();
     let mut results = Vec::new();
@@ -799,7 +801,8 @@ fn e14() -> String {
             w.tid.iter().map(|(f, pr)| (f.clone(), *pr)),
         )
         .unwrap();
-        let ((value, stats), ms) = time_ms(|| run_plan(&hq_monoid::ProbMonoid, &p, db));
+        let ((value, stats), ms) =
+            time_ms(|| run_plan(&hq_monoid::ProbMonoid, &p, db, Parallelism::sequential()));
         results.push(value);
         let peak = stats.support_sizes.iter().copied().max().unwrap_or(0);
         rows.push(vec![
@@ -831,10 +834,12 @@ fn e15() -> String {
     let mut rows = Vec::new();
     for n in [2_000usize, 8_000, 32_000] {
         let w = chain_tid(n, 11);
-        let (pm, t_map) =
-            time_ms(|| pqe::probability_on(Backend::Map, &w.query, &w.interner, &w.tid).unwrap());
+        let (pm, t_map) = time_ms(|| pqe::probability(&w.query, &w.interner, &w.tid).unwrap());
         let (pc, t_col) = time_ms(|| {
-            pqe::probability_on(Backend::Columnar, &w.query, &w.interner, &w.tid).unwrap()
+            let columnar = Backend::Columnar.into();
+            pqe::probability_on(columnar, &w.query, &w.interner, &w.tid)
+                .unwrap()
+                .0
         });
         assert_eq!(
             pm.to_bits(),
@@ -857,10 +862,18 @@ fn e15() -> String {
     for d_size in [500usize, 2_000, 8_000] {
         let w = bsm_workload(d_size, 40, 17);
         let (sm, t_map) = time_ms(|| {
-            bsm::maximize_on(Backend::Map, &w.query, &w.interner, &w.d, &w.d_r, 10).unwrap()
+            bsm::maximize_on(Backend::Map.into(), &w.query, &w.interner, &w.d, &w.d_r, 10).unwrap()
         });
         let (sc, t_col) = time_ms(|| {
-            bsm::maximize_on(Backend::Columnar, &w.query, &w.interner, &w.d, &w.d_r, 10).unwrap()
+            bsm::maximize_on(
+                Backend::Columnar.into(),
+                &w.query,
+                &w.interner,
+                &w.d,
+                &w.d_r,
+                10,
+            )
+            .unwrap()
         });
         assert_eq!(sm.curve, sc.curve, "backends must agree");
         rows.push(vec![

@@ -30,7 +30,7 @@ use hq_unify::pqe::PqeSession;
 use hq_unify::script::{
     parse_command, parse_script, render_command, strip_comment, ScriptCommand, UpdateAction,
 };
-use hq_unify::{bsm, pqe, shapley, Backend, Parallelism};
+use hq_unify::{bsm, pqe, shapley, Backend, Exec, Parallelism};
 use std::process::ExitCode;
 
 mod args;
@@ -150,7 +150,7 @@ pub(crate) fn backend_arg(args: &Args) -> Result<Backend, String> {
 }
 
 /// The worker-thread count selected by `--threads` (1 by default;
-/// `max` = all hardware threads). Only the columnar backend shards.
+/// `max` = all hardware threads). Only the columnar layout shards.
 /// Warms the persistent worker pool immediately, so no evaluation —
 /// not even the first — spawns a thread on its own clock.
 pub(crate) fn threads_arg(args: &Args) -> Result<Parallelism, String> {
@@ -163,6 +163,11 @@ pub(crate) fn threads_arg(args: &Args) -> Result<Parallelism, String> {
     };
     par.warm_pool();
     Ok(par)
+}
+
+/// The run's [`Exec`]: `--backend` at the `--threads` degree.
+fn exec_arg(args: &Args) -> Result<Exec, String> {
+    Ok(Exec::new(backend_arg(args)?, threads_arg(args)?))
 }
 
 pub(crate) fn load_db(
@@ -278,15 +283,15 @@ fn cmd_pqe(args: &Args) -> Result<String, String> {
                 (f.clone(), Rational::ratio(scaled, 1_000_000))
             })
             .collect();
-        let prob = pqe::probability_exact_par(backend, par, &q, &interner, &exact)
+        let prob = pqe::probability_exact_on(Exec::new(backend, par), &q, &interner, &exact)
             .map_err(|e| e.to_string())?;
         Ok(format!(
             "P(Q) = {prob} ≈ {:.9}\n(probabilities rounded to 1e-6 for exact mode)\n",
             prob.to_f64()
         ))
     } else {
-        let prob =
-            pqe::probability_par(backend, par, &q, &interner, &tid).map_err(|e| e.to_string())?;
+        let (prob, _) = pqe::probability_on(Exec::new(backend, par), &q, &interner, &tid)
+            .map_err(|e| e.to_string())?;
         Ok(format!("P(Q) = {prob:.9}\n"))
     }
 }
@@ -298,17 +303,15 @@ fn cmd_pqe(args: &Args) -> Result<String, String> {
 enum Session {
     Map(PqeSession<hq_unify::MapRelation<f64>>),
     Columnar(PqeSession),
-    Sharded(PqeSession<hq_unify::ShardedColumnar<f64>>),
     Compressed(PqeSession<hq_unify::CompressedColumnar<f64>>),
 }
 
-/// Forwards one accessor through the four session variants.
+/// Forwards one accessor through the three session variants.
 macro_rules! on_session {
     ($session:expr, $s:ident => $body:expr) => {
         match $session {
             Session::Map($s) => $body,
             Session::Columnar($s) => $body,
-            Session::Sharded($s) => $body,
             Session::Compressed($s) => $body,
         }
     };
@@ -321,19 +324,17 @@ impl Session {
         backend: Backend,
         par: Parallelism,
     ) -> Result<Session, String> {
-        Ok(match (backend, par.is_parallel()) {
-            (Backend::Map, _) => {
+        Ok(match backend {
+            Backend::Map => {
                 Session::Map(PqeSession::new(interner, tid).map_err(|e| e.to_string())?)
             }
-            (Backend::Columnar, false) => {
-                Session::Columnar(PqeSession::new(interner, tid).map_err(|e| e.to_string())?)
-            }
-            (Backend::Columnar, true) => Session::Sharded(
+            Backend::Columnar => Session::Columnar(
                 PqeSession::with_parallelism(interner, tid, par).map_err(|e| e.to_string())?,
             ),
             // The compressed kernels are sequential; the thread count
-            // only affects the worker pool the other tiers shard over.
-            (Backend::Compressed, _) => {
+            // only affects the worker pool the columnar layout shards
+            // over.
+            Backend::Compressed => {
                 Session::Compressed(PqeSession::new(interner, tid).map_err(|e| e.to_string())?)
             }
         })
@@ -576,8 +577,7 @@ fn cmd_pqe_serve(
 
 fn cmd_bsm(args: &Args) -> Result<String, String> {
     let q = parse_query_arg(args.require("query")?)?;
-    let backend = backend_arg(args)?;
-    let par = threads_arg(args)?;
+    let exec = exec_arg(args)?;
     let theta: usize = args
         .require("theta")?
         .parse()
@@ -586,7 +586,7 @@ fn cmd_bsm(args: &Args) -> Result<String, String> {
     let (d, _) = load_db(args.require("db")?, &mut interner)?;
     let (d_r, _) = load_db(args.require("repair")?, &mut interner)?;
     if args.flag("witness") {
-        let sol = bsm::maximize_with_repair_par(backend, par, &q, &interner, &d, &d_r, theta)
+        let sol = bsm::maximize_with_repair_on(exec, &q, &interner, &d, &d_r, theta)
             .map_err(|e| e.to_string())?;
         let mut out = format!(
             "max Q(D') within budget θ={theta}: {}\n",
@@ -607,8 +607,7 @@ fn cmd_bsm(args: &Args) -> Result<String, String> {
         }
         return Ok(out);
     }
-    let sol = bsm::maximize_par(backend, par, &q, &interner, &d, &d_r, theta)
-        .map_err(|e| e.to_string())?;
+    let sol = bsm::maximize_on(exec, &q, &interner, &d, &d_r, theta).map_err(|e| e.to_string())?;
     let mut out = format!("max Q(D') within budget θ={theta}: {}\n", sol.optimum());
     out.push_str("budget curve:\n");
     for i in 0..=theta {
@@ -619,8 +618,7 @@ fn cmd_bsm(args: &Args) -> Result<String, String> {
 
 fn cmd_expected(args: &Args) -> Result<String, String> {
     let q = parse_query_arg(args.require("query")?)?;
-    let backend = backend_arg(args)?;
-    let par = threads_arg(args)?;
+    let exec = exec_arg(args)?;
     let mut interner = Interner::new();
     let (db, weights) = load_db(args.require("db")?, &mut interner)?;
     let weighted: std::collections::BTreeMap<&Fact, f64> =
@@ -633,8 +631,7 @@ fn cmd_expected(args: &Args) -> Result<String, String> {
             (f, p)
         })
         .collect();
-    let e =
-        pqe::expected_count_par(backend, par, &q, &interner, &tid).map_err(|e| e.to_string())?;
+    let e = pqe::expected_count_on(exec, &q, &interner, &tid).map_err(|e| e.to_string())?;
     Ok(format!("E[Q(D)] = {e:.9}\n"))
 }
 
@@ -659,8 +656,7 @@ fn cmd_provenance(args: &Args) -> Result<String, String> {
 
 fn cmd_shapley(args: &Args) -> Result<String, String> {
     let q = parse_query_arg(args.require("query")?)?;
-    let backend = backend_arg(args)?;
-    let par = threads_arg(args)?;
+    let exec = exec_arg(args)?;
     let mut interner = Interner::new();
     let (endo_db, _) = load_db(args.require("db")?, &mut interner)?;
     let exogenous = match args.get("exogenous") {
@@ -668,7 +664,7 @@ fn cmd_shapley(args: &Args) -> Result<String, String> {
         None => Vec::new(),
     };
     let endogenous = endo_db.facts();
-    let values = shapley::shapley_values_par(backend, par, &q, &interner, &exogenous, &endogenous)
+    let values = shapley::shapley_values_on(exec, &q, &interner, &exogenous, &endogenous)
         .map_err(|e| e.to_string())?;
     let mut out = String::from("Shapley values (exact):\n");
     let mut total = Rational::zero();

@@ -26,7 +26,9 @@
 //! `error: write queue full …` when `--write-queue N --write-policy
 //! refuse` backpressure refuses a burst, a line longer than
 //! [`MAX_LINE_BYTES`] and a line that is not UTF-8. Connections beyond
-//! `--max-sessions` are refused with `error: server full`.
+//! `--max-sessions` are refused with `error: server full`, and a
+//! connection silent for [`IDLE_TIMEOUT`] gets `error: idle timeout`
+//! and is closed.
 
 use crate::args::Args;
 use hq_db::{Fact, Interner, Value};
@@ -34,12 +36,18 @@ use hq_monoid::ProbMonoid;
 use hq_unify::script::{parse_command, render_command, strip_comment, ScriptCommand};
 use hq_unify::{
     ColumnarRelation, CompressedColumnar, MapRelation, Server, ServingBackend, Session,
-    ShardedColumnar,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
+use std::time::Duration;
+
+/// How long a connection may stay silent before the server replies
+/// `error: idle timeout` and closes it — so a client that connects and
+/// goes quiet cannot hold a `--max-sessions` slot (or a pinned epoch)
+/// forever.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// The longest command line the wire accepts, newline excluded. A
 /// longer line is answered with an error and discarded through its
@@ -89,13 +97,12 @@ fn read_wire_line<'b>(
     ))
 }
 
-/// The four storage tiers behind one wire server. Mirrors the serve
-/// mode's `Session` dispatch: `--backend` + `--threads` select the
-/// variant once at startup.
+/// The three storage tiers behind one wire server. Mirrors the serve
+/// mode's `Session` dispatch: `--backend` selects the variant once at
+/// startup, and `--threads` sets the degree its rules run at.
 enum WireServer {
     Map(Server<ProbMonoid, MapRelation<f64>>),
     Columnar(Server<ProbMonoid, ColumnarRelation<f64>>),
-    Sharded(Server<ProbMonoid, ShardedColumnar<f64>>),
     Compressed(Server<ProbMonoid, CompressedColumnar<f64>>),
 }
 
@@ -103,17 +110,15 @@ enum WireServer {
 enum WireSession {
     Map(Session<ProbMonoid, MapRelation<f64>>),
     Columnar(Session<ProbMonoid, ColumnarRelation<f64>>),
-    Sharded(Session<ProbMonoid, ShardedColumnar<f64>>),
     Compressed(Session<ProbMonoid, CompressedColumnar<f64>>),
 }
 
-/// Forwards one accessor through the four variants.
+/// Forwards one accessor through the three variants.
 macro_rules! on_wire {
     ($value:expr, $s:ident => $body:expr) => {
         match $value {
             WireServer::Map($s) => $body,
             WireServer::Columnar($s) => $body,
-            WireServer::Sharded($s) => $body,
             WireServer::Compressed($s) => $body,
         }
     };
@@ -124,7 +129,6 @@ macro_rules! on_wire_session {
         match $value {
             WireSession::Map($s) => $body,
             WireSession::Columnar($s) => $body,
-            WireSession::Sharded($s) => $body,
             WireSession::Compressed($s) => $body,
         }
     };
@@ -135,7 +139,6 @@ impl Clone for WireServer {
         match self {
             WireServer::Map(s) => WireServer::Map(s.clone()),
             WireServer::Columnar(s) => WireServer::Columnar(s.clone()),
-            WireServer::Sharded(s) => WireServer::Sharded(s.clone()),
             WireServer::Compressed(s) => WireServer::Compressed(s.clone()),
         }
     }
@@ -156,13 +159,13 @@ impl WireServer {
             Server::with_parallelism(ProbMonoid, interner, tid.iter().cloned(), par)
                 .map_err(|e| e.to_string())
         }
-        Ok(match (backend, par.is_parallel()) {
-            (hq_unify::Backend::Map, _) => WireServer::Map(mk(interner, tid, par)?),
-            (hq_unify::Backend::Columnar, false) => WireServer::Columnar(mk(interner, tid, par)?),
-            (hq_unify::Backend::Columnar, true) => WireServer::Sharded(mk(interner, tid, par)?),
+        Ok(match backend {
+            hq_unify::Backend::Map => WireServer::Map(mk(interner, tid, par)?),
+            hq_unify::Backend::Columnar => WireServer::Columnar(mk(interner, tid, par)?),
             // The compressed kernels are sequential; the thread count
-            // only affects the worker pool the other tiers shard over.
-            (hq_unify::Backend::Compressed, _) => WireServer::Compressed(mk(interner, tid, par)?),
+            // only affects the worker pool the columnar layout shards
+            // over.
+            hq_unify::Backend::Compressed => WireServer::Compressed(mk(interner, tid, par)?),
         })
     }
 
@@ -170,7 +173,6 @@ impl WireServer {
         match self {
             WireServer::Map(s) => WireSession::Map(s.session()),
             WireServer::Columnar(s) => WireSession::Columnar(s.session()),
-            WireServer::Sharded(s) => WireSession::Sharded(s.session()),
             WireServer::Compressed(s) => WireSession::Compressed(s.session()),
         }
     }
@@ -317,7 +319,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, String> {
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     eprintln!("hq serve: listening on {addr} ({max_sessions} session(s) max)");
     let interner = Arc::new(RwLock::new(interner));
-    let served = serve_loop(listener, &server, &interner, max_sessions)?;
+    let served = serve_loop(listener, &server, &interner, max_sessions, IDLE_TIMEOUT)?;
     Ok(format!(
         "served {served} connection(s); final epoch {}\n",
         server.current_epoch()
@@ -346,12 +348,13 @@ impl Drop for SessionSlot {
 /// per **connection** — never per request; all query evaluation inside
 /// a connection fans out over the shared worker pool warmed at server
 /// construction. Split from [`cmd_serve`] so tests can drive a bound
-/// `127.0.0.1:0` listener directly.
+/// `127.0.0.1:0` listener directly (and shorten `idle`).
 fn serve_loop(
     listener: TcpListener,
     server: &WireServer,
     interner: &Arc<RwLock<Interner>>,
     max_sessions: usize,
+    idle: Duration,
 ) -> Result<usize, String> {
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -375,8 +378,11 @@ fn serve_loop(
         let interner = interner.clone();
         let stop = stop.clone();
         handles.push(std::thread::spawn(move || {
-            let _slot = slot;
-            let _ = handle_conn(stream, &server, session, &interner, &stop);
+            let _ = handle_conn(&stream, &server, session, &interner, &stop, idle);
+            // Free the slot before closing, so a client that sees the
+            // close can be admitted again at once.
+            drop(slot);
+            drop(stream);
             if stop.load(Ordering::SeqCst) {
                 // Wake the acceptor so it observes the stop flag.
                 let _ = TcpStream::connect(addr);
@@ -393,19 +399,29 @@ fn serve_loop(
 /// grammar, answer one line per command. Parsing takes the interner
 /// write lock (fact values may intern novel symbols); evaluation and
 /// updates run under the read lock, so concurrent sessions evaluate
-/// in parallel.
+/// in parallel. A connection that sends nothing for `idle` is told so
+/// and closed; dropping its session releases any pinned epoch.
 fn handle_conn(
-    stream: TcpStream,
+    stream: &TcpStream,
     server: &WireServer,
     mut session: WireSession,
     interner: &Arc<RwLock<Interner>>,
     stop: &AtomicBool,
+    idle: Duration,
 ) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(idle))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
     let mut buf = Vec::new();
     for lineno in 0.. {
-        let line = match read_wire_line(&mut reader, &mut buf)? {
+        let next = match read_wire_line(&mut reader, &mut buf) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                writeln!(out, "error: idle timeout")?;
+                break;
+            }
+            next => next?,
+        };
+        let line = match next {
             None => break,
             Some(Ok(line)) => line,
             Some(Err(reason)) => {
@@ -482,6 +498,18 @@ mod tests {
         std::net::SocketAddr,
         std::thread::JoinHandle<Result<usize, String>>,
     ) {
+        boot_with(db_lines, extra, 2, IDLE_TIMEOUT)
+    }
+
+    fn boot_with(
+        db_lines: &str,
+        extra: &[(&str, &str)],
+        max_sessions: usize,
+        idle: Duration,
+    ) -> (
+        std::net::SocketAddr,
+        std::thread::JoinHandle<Result<usize, String>>,
+    ) {
         static NEXT_DB: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let dir = std::env::temp_dir().join("hq-serve-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -520,7 +548,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let interner = Arc::new(RwLock::new(interner));
-        let handle = std::thread::spawn(move || serve_loop(listener, &server, &interner, 2));
+        let handle = std::thread::spawn(move || {
+            serve_loop(listener, &server, &interner, max_sessions, idle)
+        });
         (addr, handle)
     }
 
@@ -751,6 +781,34 @@ mod tests {
         drop(r1);
         drop(s2);
         drop(r2);
+        let _ = handle.join().unwrap();
+    }
+
+    #[test]
+    fn idle_connection_is_timed_out_and_frees_its_slot() {
+        let (addr, handle) = boot_with("E(1,2) @ 0.5\n", &[], 1, Duration::from_millis(200));
+        // The only slot: pin an epoch, then go silent.
+        let mut idle = TcpStream::connect(addr).unwrap();
+        writeln!(idle, "pin").unwrap();
+        let replies: Vec<String> = BufReader::new(idle.try_clone().unwrap())
+            .lines()
+            .map(|l| l.unwrap())
+            .collect();
+        assert_eq!(
+            replies,
+            vec![
+                "pinned epoch 0".to_owned(),
+                "error: idle timeout".to_owned()
+            ],
+            "the timeout line, then EOF"
+        );
+        drop(idle);
+        // The slot was freed before the close, so the next connection
+        // is admitted.
+        let admitted = roundtrip(addr, &["pin", "quit"]);
+        assert_eq!(admitted, vec!["pinned epoch 0".to_owned()]);
+        let shut = roundtrip(addr, &["shutdown"]);
+        assert_eq!(shut, vec!["ok: shutting down".to_owned()]);
         let _ = handle.join().unwrap();
     }
 }

@@ -17,10 +17,7 @@
 //! [`annotate`] is the ordered-map convenience used by the oracle
 //! paths. See [`crate::storage`] for the backend catalogue.
 
-use crate::storage::{
-    BorrowedSlot, ColumnarRelation, DuplicateRow, MapRelation, Parallelism, ShardedColumnar,
-    Storage,
-};
+use crate::storage::{BorrowedSlot, ColumnarRelation, DuplicateRow, MapRelation, Storage};
 use hq_db::{Fact, Interner, Sym, Tuple, Value};
 use hq_query::{Query, Var};
 use std::collections::BTreeMap;
@@ -44,22 +41,6 @@ impl<R: Storage> AnnotatedDb<R> {
     /// Total support size `|D|` across alive slots (Definition 6.5).
     pub fn support_size(&self) -> usize {
         self.slots.iter().flatten().map(Storage::support_size).sum()
-    }
-}
-
-impl<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> AnnotatedDb<ColumnarRelation<K>> {
-    /// Switches a columnar database into the sharded execution mode:
-    /// every slot keeps its matrices and gains the given
-    /// [`Parallelism`] degree. Results stay bit-identical at every
-    /// thread count (see [`crate::storage::ShardedColumnar`]).
-    pub fn into_sharded(self, par: Parallelism) -> AnnotatedDb<ShardedColumnar<K>> {
-        AnnotatedDb {
-            slots: self
-                .slots
-                .into_iter()
-                .map(|s| s.map(|rel| ShardedColumnar::new(rel, par)))
-                .collect(),
-        }
     }
 }
 

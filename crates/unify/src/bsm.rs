@@ -10,11 +10,9 @@
 //! in `D_r` with `★ = (0, 1, 1, …)` (multiplicity 1 after paying one
 //! budget unit), and everything else implicitly with `0`.
 
-use crate::engine::{
-    evaluate_columnar_par, evaluate_compressed_par, evaluate_on_par, EngineStats, UnifyError,
-};
+use crate::engine::{evaluate_on, fact_rows, EngineStats, UnifyError};
 use crate::serving::{ServingBackend, ServingError, ServingSession, UpdateOutcome};
-use crate::storage::{Backend, ColumnarRelation, Parallelism};
+use crate::storage::{ColumnarRelation, Exec, Parallelism};
 use hq_db::{Database, Fact, Interner};
 use hq_monoid::{BagMaxMonoid, BudgetVec, TwoMonoid};
 use hq_query::Query;
@@ -74,35 +72,16 @@ pub fn maximize(
     d_r: &Database,
     theta: usize,
 ) -> Result<BsmSolution, UnifyError> {
-    maximize_on(Backend::Map, q, interner, d, d_r, theta)
+    maximize_on(Exec::default(), q, interner, d, d_r, theta)
 }
 
-/// [`maximize`] on an explicit storage backend. All backends return
-/// identical curves and stats.
+/// [`maximize`] under an explicit [`Exec`] choice. Every backend and
+/// degree returns identical curves and stats.
 ///
 /// # Errors
 /// Same failure modes as [`maximize`].
 pub fn maximize_on(
-    backend: Backend,
-    q: &Query,
-    interner: &Interner,
-    d: &Database,
-    d_r: &Database,
-    theta: usize,
-) -> Result<BsmSolution, UnifyError> {
-    maximize_par(backend, Parallelism::default(), q, interner, d, d_r, theta)
-}
-
-/// [`maximize`] on an explicit backend and [`Parallelism`] degree:
-/// shard kernels run on the persistent worker [`pool`](crate::pool)
-/// (no per-call thread spawns), with identical curves and stats at
-/// every thread count.
-///
-/// # Errors
-/// Same failure modes as [`maximize`].
-pub fn maximize_par(
-    backend: Backend,
-    par: Parallelism,
+    exec: Exec,
     q: &Query,
     interner: &Interner,
     d: &Database,
@@ -110,51 +89,37 @@ pub fn maximize_par(
     theta: usize,
 ) -> Result<BsmSolution, UnifyError> {
     let monoid = BagMaxMonoid::new(theta);
-    let (curve, stats) = match backend {
-        // Fused ψ-encoding: annotate the columnar relations straight
-        // from the two databases, without materialising a fact list.
-        // Per relation, the base facts (annotation `1̄`) and the novel
-        // repair facts (annotation `★`) are two sorted streams; merging
-        // them here keeps every slot's rows sorted, so the columnar
-        // build skips its re-sort entirely.
-        // The compressed tier shares the same fused stream; only the
-        // terminal evaluation call differs.
-        Backend::Columnar | Backend::Compressed => {
-            let one = monoid.one();
-            let star = monoid.star();
-            let (one, star) = (&one, &star);
-            let syms: std::collections::BTreeSet<hq_db::Sym> = d
-                .relations()
-                .map(|(s, _)| s)
-                .chain(d_r.relations().map(|(s, _)| s))
-                .collect();
-            let rows = syms.into_iter().flat_map(move |sym| {
-                let base = d.relation(sym).map(|r| r.iter()).into_iter().flatten();
-                let repairs = d_r
-                    .relation(sym)
-                    .map(|r| r.iter())
-                    .into_iter()
-                    .flatten()
-                    .filter(move |t| !d.relation(sym).is_some_and(|r| r.contains(t)));
-                MergedPsi {
-                    base: base.peekable(),
-                    repairs: repairs.peekable(),
-                    one,
-                    star,
-                }
-                .map(move |(t, k)| (sym, t, k))
-            });
-            if backend == Backend::Compressed {
-                evaluate_compressed_par(par, &monoid, q, interner, rows)?
-            } else {
-                evaluate_columnar_par(par, &monoid, q, interner, rows)?
-            }
+    // Fused ψ-encoding: stream the rows straight from the two
+    // databases, without materialising a fact list. Per relation, the
+    // base facts (annotation `1̄`) and the novel repair facts
+    // (annotation `★`) are two sorted streams; merging them here keeps
+    // every slot's rows sorted, so the columnar build skips its
+    // re-sort entirely.
+    let one = monoid.one();
+    let star = monoid.star();
+    let (one, star) = (&one, &star);
+    let syms: std::collections::BTreeSet<hq_db::Sym> = d
+        .relations()
+        .map(|(s, _)| s)
+        .chain(d_r.relations().map(|(s, _)| s))
+        .collect();
+    let rows = syms.into_iter().flat_map(move |sym| {
+        let base = d.relation(sym).map(|r| r.iter()).into_iter().flatten();
+        let repairs = d_r
+            .relation(sym)
+            .map(|r| r.iter())
+            .into_iter()
+            .flatten()
+            .filter(move |t| !d.relation(sym).is_some_and(|r| r.contains(t)));
+        MergedPsi {
+            base: base.peekable(),
+            repairs: repairs.peekable(),
+            one,
+            star,
         }
-        Backend::Map => {
-            let facts = psi_encoding(&monoid, d, d_r);
-            evaluate_on_par(backend, par, &monoid, q, interner, facts)?
-        }
-    };
+        .map(move |(t, k)| (sym, t, k))
+    });
+    let (curve, stats) = evaluate_on(exec, &monoid, q, interner, rows)?;
     debug_assert!(curve.is_monotone(), "output curve must be monotone");
     Ok(BsmSolution { curve, stats })
 }
@@ -226,7 +191,8 @@ pub struct BsmSession<R: ServingBackend<Ann = BudgetVec> = ColumnarRelation<Budg
 
 impl<R: ServingBackend<Ann = BudgetVec>> BsmSession<R> {
     /// Builds the session with an explicit [`Parallelism`] degree
-    /// (meaningful on the sharded backend; bit-identical everywhere).
+    /// (the columnar layout shards its rules; bit-identical
+    /// everywhere).
     ///
     /// # Errors
     /// Rejects inputs that give one relation two different arities.
@@ -368,32 +334,15 @@ pub fn maximize_with_repair(
     d_r: &Database,
     theta: usize,
 ) -> Result<BsmRepairSolution, UnifyError> {
-    maximize_with_repair_on(Backend::Map, q, interner, d, d_r, theta)
+    maximize_with_repair_on(Exec::default(), q, interner, d, d_r, theta)
 }
 
-/// [`maximize_with_repair`] on an explicit storage backend.
+/// [`maximize_with_repair`] under an explicit [`Exec`] choice.
 ///
 /// # Errors
 /// Same failure modes as [`maximize`].
 pub fn maximize_with_repair_on(
-    backend: Backend,
-    q: &Query,
-    interner: &Interner,
-    d: &Database,
-    d_r: &Database,
-    theta: usize,
-) -> Result<BsmRepairSolution, UnifyError> {
-    maximize_with_repair_par(backend, Parallelism::default(), q, interner, d, d_r, theta)
-}
-
-/// [`maximize_with_repair`] on an explicit backend and [`Parallelism`]
-/// degree.
-///
-/// # Errors
-/// Same failure modes as [`maximize`].
-pub fn maximize_with_repair_par(
-    backend: Backend,
-    par: Parallelism,
+    exec: Exec,
     q: &Query,
     interner: &Interner,
     d: &Database,
@@ -413,7 +362,7 @@ pub fn maximize_with_repair_par(
             monoid.star(u32::try_from(id).expect("fact id fits u32")),
         ));
     }
-    let (curve, stats) = evaluate_on_par(backend, par, &monoid, q, interner, facts)?;
+    let (curve, stats) = evaluate_on(exec, &monoid, q, interner, fact_rows(&facts))?;
     Ok(BsmRepairSolution {
         curve,
         candidates,
@@ -424,7 +373,7 @@ pub fn maximize_with_repair_par(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{CompressedColumnar, MapRelation, ShardedColumnar};
+    use crate::storage::{Backend, CompressedColumnar, MapRelation};
     use hq_db::{count_matches, db_from_ints, Tuple};
     use hq_query::{example_query, q_non_hierarchical, Query};
 
@@ -615,7 +564,7 @@ mod tests {
             maximize(&q, &i, &d, &dr2, 2).unwrap().curve
         );
         // A further reclassification lands identically on the
-        // columnar, compressed and sharded sessions.
+        // columnar, compressed and two-thread columnar sessions.
         let t = i.get("T").unwrap();
         let changes = [
             (fact.clone(), PsiClass::Repair),
@@ -623,7 +572,7 @@ mod tests {
         ];
         let mut col: BsmSession = BsmSession::new(&i, &d, &dr2, 2).unwrap();
         let mut cmp = BsmSession::<CompressedColumnar<BudgetVec>>::new(&i, &d, &dr2, 2).unwrap();
-        let mut sh = BsmSession::<ShardedColumnar<BudgetVec>>::with_parallelism(
+        let mut sh = BsmSession::<ColumnarRelation<BudgetVec>>::with_parallelism(
             &i,
             &d,
             &dr2,
@@ -654,7 +603,7 @@ mod tests {
         let q = example_query();
         let q_sub = Query::new(&[("S", &["A", "C"])]).unwrap();
         let mut session: BsmSession = BsmSession::new(&i, &d, &d_r, 2).unwrap();
-        let fresh = maximize_on(Backend::Columnar, &q, &i, &d, &d_r, 2).unwrap();
+        let fresh = maximize_on(Backend::Columnar.into(), &q, &i, &d, &d_r, 2).unwrap();
         let got = session.query(&i, &q).unwrap();
         assert_eq!(got.curve, fresh.curve);
         assert_eq!(got.stats, fresh.stats);
@@ -666,7 +615,7 @@ mod tests {
         session.set_fact(&i, &fact, PsiClass::Base).unwrap();
         let mut d2 = d.clone();
         d2.insert(fact);
-        let fresh = maximize_on(Backend::Columnar, &q, &i, &d2, &d_r, 2).unwrap();
+        let fresh = maximize_on(Backend::Columnar.into(), &q, &i, &d2, &d_r, 2).unwrap();
         let got = session.query(&i, &q).unwrap();
         assert_eq!(got.curve, fresh.curve);
         assert_eq!(got.stats, fresh.stats);

@@ -16,17 +16,16 @@
 //!   skipped outright, keeping the op counts on the Theorem 6.7 budget.
 //!
 //! The physical relation layout is pluggable ([`crate::storage`]):
-//! [`run_plan`] is generic over any [`Storage`] backend, and
-//! [`evaluate_on`] dispatches on a runtime [`Backend`] choice. The
+//! [`run_plan`] is generic over any [`Storage`] backend and passes the
+//! run's [`Parallelism`] degree to every rule application, and
+//! [`evaluate_on`] dispatches on a runtime [`Exec`] choice. The
 //! engine counts ⊕/⊗ operations and tracks support sizes per step,
 //! making Theorem 6.7 (linearly many operations) and Lemma 6.6
 //! (support never grows) directly measurable — identically on every
 //! backend.
 
 use crate::annotated::{annotate_columnar, annotate_with, AnnotateError, AnnotatedDb, EncodedDb};
-use crate::storage::{
-    Backend, ColumnarRelation, CompressedAnn, CompressedColumnar, MapRelation, Parallelism, Storage,
-};
+use crate::storage::{Backend, CompressedAnn, Exec, MapRelation, Parallelism, Storage};
 use hq_db::{Database, Fact, Interner, Sym, Tuple};
 use hq_monoid::TwoMonoid;
 use hq_query::{plan, EliminationPlan, NotHierarchical, Query, Step};
@@ -89,8 +88,8 @@ impl From<AnnotateError> for UnifyError {
 }
 
 /// Executes a compiled plan over an annotated database of any storage
-/// backend, returning the final annotation of the nullary tuple `()`
-/// and the run statistics.
+/// backend at parallelism degree `par`, returning the final
+/// annotation of the nullary tuple `()` and the run statistics.
 ///
 /// The result is `0` when the final relation has empty support (no
 /// fact combination reaches the root), mirroring `⊕` over an empty
@@ -99,6 +98,7 @@ pub fn run_plan<M, R>(
     monoid: &M,
     plan: &EliminationPlan,
     mut db: AnnotatedDb<R>,
+    par: Parallelism,
 ) -> (M::Elem, EngineStats)
 where
     M: TwoMonoid,
@@ -110,12 +110,12 @@ where
         match *step {
             Step::ProjectOut { atom, var } => {
                 let rel = db.slots[atom].take().expect("plan references alive slot");
-                db.slots[atom] = Some(rel.project_out(monoid, var, &mut stats));
+                db.slots[atom] = Some(rel.project_out(monoid, var, par, &mut stats));
             }
             Step::Merge { left, right } => {
                 let l = db.slots[left].take().expect("plan references alive slot");
                 let r = db.slots[right].take().expect("plan references alive slot");
-                db.slots[left] = Some(l.merge(monoid, r, &mut stats));
+                db.slots[left] = Some(l.merge(monoid, r, par, &mut stats));
             }
         }
         stats.support_sizes.push(db.support_size());
@@ -129,7 +129,7 @@ where
 
 /// One-call entry point on the ordered-map backend: plans the query,
 /// annotates the facts, and runs Algorithm 1. Kept as the oracle path;
-/// see [`evaluate_on`] for backend selection.
+/// see [`evaluate_on`] for backend and parallelism selection.
 ///
 /// # Errors
 /// Returns [`UnifyError::NotHierarchical`] for non-hierarchical
@@ -143,143 +143,56 @@ pub fn evaluate<M: TwoMonoid>(
 ) -> Result<(M::Elem, EngineStats), UnifyError> {
     let p = plan(q)?;
     let db = annotate_with::<MapRelation<M::Elem>>(q, interner, facts)?;
-    Ok(run_plan(monoid, &p, db))
+    Ok(run_plan(monoid, &p, db, Parallelism::sequential()))
 }
 
-/// One-call entry point with runtime backend selection. All backends
-/// produce bit-identical results and identical [`EngineStats`]; they
-/// differ only in constants (the columnar backend is the fast path).
+/// One-call entry point with a runtime [`Exec`] choice, over borrowed
+/// `(relation, key tuple in written order, annotation)` rows. The
+/// columnar layouts build straight from the borrowed tuples (no clone
+/// — see [`crate::annotated::annotate_columnar`]); the compressed tier
+/// block-compresses each slot right after that build; the ordered-map
+/// oracle clones each row into a fact.
+///
+/// All backends and degrees produce bit-identical results and
+/// identical [`EngineStats`]; they differ only in constants. A
+/// parallel degree warms the persistent worker [`pool`](crate::pool)
+/// up front, so the shard kernels never spawn a thread.
 ///
 /// # Errors
 /// Same failure modes as [`evaluate`].
-pub fn evaluate_on<M: TwoMonoid>(
-    backend: Backend,
+pub fn evaluate_on<'a, M: TwoMonoid>(
+    exec: Exec,
     monoid: &M,
     q: &Query,
     interner: &Interner,
-    facts: impl IntoIterator<Item = (Fact, M::Elem)>,
-) -> Result<(M::Elem, EngineStats), UnifyError>
-where
-    M::Elem: CompressedAnn,
-{
-    evaluate_on_par(backend, Parallelism::default(), monoid, q, interner, facts)
-}
-
-/// [`evaluate_on`] with an explicit [`Parallelism`] degree. When the
-/// columnar backend is selected and `par.threads > 1`, every Rule 1
-/// fold and Rule 2 merge runs shard-parallel on the persistent worker
-/// [`pool`](crate::pool)
-/// ([`crate::storage::ShardedColumnar`]); results and stats stay
-/// bit-identical to the sequential run at every thread count. The
-/// ordered-map oracle ignores the knob (documented sequential).
-///
-/// # Errors
-/// Same failure modes as [`evaluate`].
-pub fn evaluate_on_par<M: TwoMonoid>(
-    backend: Backend,
-    par: Parallelism,
-    monoid: &M,
-    q: &Query,
-    interner: &Interner,
-    facts: impl IntoIterator<Item = (Fact, M::Elem)>,
+    rows: impl IntoIterator<Item = (Sym, &'a Tuple, M::Elem)>,
 ) -> Result<(M::Elem, EngineStats), UnifyError>
 where
     M::Elem: CompressedAnn,
 {
     let p = plan(q)?;
-    match backend {
+    let par = exec.par;
+    par.warm_pool();
+    Ok(match exec.backend {
         Backend::Map => {
+            let facts = rows
+                .into_iter()
+                .map(|(rel, t, k)| (Fact::new(rel, t.clone()), k));
             let db = annotate_with::<MapRelation<M::Elem>>(q, interner, facts)?;
-            Ok(run_plan(monoid, &p, db))
+            run_plan(monoid, &p, db, par)
         }
-        Backend::Columnar => {
-            let db = annotate_with::<ColumnarRelation<M::Elem>>(q, interner, facts)?;
-            Ok(run_columnar_plan(monoid, &p, db, par))
-        }
+        Backend::Columnar => run_plan(monoid, &p, annotate_columnar(q, interner, rows)?, par),
         Backend::Compressed => {
-            let db = annotate_with::<CompressedColumnar<M::Elem>>(q, interner, facts)?;
-            Ok(run_plan(monoid, &p, db))
+            let db = annotate_columnar(q, interner, rows)?.into_compressed();
+            run_plan(monoid, &p, db, par)
         }
-    }
+    })
 }
 
-/// Runs a compiled plan over an annotated columnar database at the
-/// given parallelism degree: sequential when `par.threads == 1`,
-/// sharded otherwise. This is the single dispatch point every columnar
-/// entry path funnels through; it warms the persistent worker
-/// [`pool`](crate::pool) up front, so the shard kernels themselves
-/// never spawn a thread.
-pub fn run_columnar_plan<M: TwoMonoid>(
-    monoid: &M,
-    plan: &EliminationPlan,
-    db: AnnotatedDb<ColumnarRelation<M::Elem>>,
-    par: Parallelism,
-) -> (M::Elem, EngineStats) {
-    if par.is_parallel() {
-        par.warm_pool();
-        run_plan(monoid, plan, db.into_sharded(par))
-    } else {
-        run_plan(monoid, plan, db)
-    }
-}
-
-/// The borrowed-fact fast path on the columnar backend: plans the
-/// query, builds the columnar relations **directly from borrowed key
-/// tuples** (no clone, no re-boxing — see
-/// [`crate::annotated::annotate_columnar`]), and runs Algorithm 1.
-/// This is what the solver front-ends use when
-/// [`Backend::Columnar`] is selected.
-///
-/// # Errors
-/// Same failure modes as [`evaluate`].
-pub fn evaluate_columnar<'a, M: TwoMonoid>(
-    monoid: &M,
-    q: &Query,
-    interner: &Interner,
-    rows: impl IntoIterator<Item = (Sym, &'a Tuple, M::Elem)>,
-) -> Result<(M::Elem, EngineStats), UnifyError> {
-    evaluate_columnar_par(Parallelism::default(), monoid, q, interner, rows)
-}
-
-/// [`evaluate_columnar`] with an explicit [`Parallelism`] degree.
-///
-/// # Errors
-/// Same failure modes as [`evaluate`].
-pub fn evaluate_columnar_par<'a, M: TwoMonoid>(
-    par: Parallelism,
-    monoid: &M,
-    q: &Query,
-    interner: &Interner,
-    rows: impl IntoIterator<Item = (Sym, &'a Tuple, M::Elem)>,
-) -> Result<(M::Elem, EngineStats), UnifyError> {
-    let p = plan(q)?;
-    let db = annotate_columnar(q, interner, rows)?;
-    Ok(run_columnar_plan(monoid, &p, db, par))
-}
-
-/// The borrowed-fact fast path on the compressed tier: the columnar
-/// build (instance dictionary, scatter encode) runs as usual, each
-/// slot is block-compressed immediately, and the plan executes the
-/// streaming kernels. The `par` degree is accepted for interface
-/// symmetry but ignored — the compressed kernels are sequential
-/// (documented; the tier trades CPU fan-out for memory footprint).
-///
-/// # Errors
-/// Same failure modes as [`evaluate`].
-pub fn evaluate_compressed_par<'a, M: TwoMonoid>(
-    par: Parallelism,
-    monoid: &M,
-    q: &Query,
-    interner: &Interner,
-    rows: impl IntoIterator<Item = (Sym, &'a Tuple, M::Elem)>,
-) -> Result<(M::Elem, EngineStats), UnifyError>
-where
-    M::Elem: CompressedAnn,
-{
-    let _ = par;
-    let p = plan(q)?;
-    let db = annotate_columnar(q, interner, rows)?;
-    Ok(run_plan(monoid, &p, db.into_compressed()))
+/// Borrows an annotated fact list as [`evaluate_on`]'s
+/// `(relation, tuple, annotation)` rows.
+pub(crate) fn fact_rows<K: Clone>(facts: &[(Fact, K)]) -> impl Iterator<Item = (Sym, &Tuple, K)> {
+    facts.iter().map(|(f, k)| (f.rel, &f.tuple, k.clone()))
 }
 
 /// Evaluates a query over a database whose dictionary encoding was
@@ -289,11 +202,11 @@ where
 /// `ann` supplies each fact's annotation (facts are visited in each
 /// relation's sorted tuple order).
 ///
-/// Results and [`EngineStats`] are bit-identical to
-/// [`evaluate_on_par`] on the columnar backend: the cached dictionary
-/// covers the whole database rather than just the query's relations,
-/// but codes are order-preserving either way, so every comparison,
-/// fold and merge runs in the same sequence.
+/// Results and [`EngineStats`] are bit-identical to [`evaluate_on`] on
+/// the columnar backend: the cached dictionary covers the whole
+/// database rather than just the query's relations, but codes are
+/// order-preserving either way, so every comparison, fold and merge
+/// runs in the same sequence.
 ///
 /// # Errors
 /// Same failure modes as [`evaluate`], plus an arity mismatch when the
@@ -309,7 +222,8 @@ pub fn evaluate_encoded<M: TwoMonoid>(
 ) -> Result<(M::Elem, EngineStats), UnifyError> {
     let p = plan(q)?;
     let adb = enc.annotate(db, q, interner, ann)?;
-    Ok(run_columnar_plan(monoid, &p, adb, par))
+    par.warm_pool();
+    Ok(run_plan(monoid, &p, adb, par))
 }
 
 #[cfg(test)]
@@ -318,6 +232,21 @@ mod tests {
     use hq_db::db_from_ints;
     use hq_monoid::{BoolMonoid, CountMonoid, ProbMonoid, TropicalMinMonoid, TROPICAL_INF};
     use hq_query::{example_query, q_hierarchical, q_non_hierarchical, Query};
+
+    /// [`evaluate_on`] over owned facts, run sequentially on `backend`.
+    fn eval_facts<M: TwoMonoid>(
+        backend: Backend,
+        monoid: &M,
+        q: &Query,
+        interner: &Interner,
+        facts: impl IntoIterator<Item = (Fact, M::Elem)>,
+    ) -> Result<(M::Elem, EngineStats), UnifyError>
+    where
+        M::Elem: CompressedAnn,
+    {
+        let facts: Vec<(Fact, M::Elem)> = facts.into_iter().collect();
+        evaluate_on(backend.into(), monoid, q, interner, fact_rows(&facts))
+    }
 
     fn fig1_db() -> (hq_db::Database, Interner) {
         db_from_ints(&[
@@ -417,7 +346,7 @@ mod tests {
         assert!(matches!(err, UnifyError::NotHierarchical(_)));
         for backend in Backend::ALL {
             let err =
-                evaluate_on(backend, &BoolMonoid, &q, &i, Vec::<(Fact, bool)>::new()).unwrap_err();
+                eval_facts(backend, &BoolMonoid, &q, &i, Vec::<(Fact, bool)>::new()).unwrap_err();
             assert!(matches!(err, UnifyError::NotHierarchical(_)));
         }
     }
@@ -439,7 +368,7 @@ mod tests {
             }
         };
         for backend in Backend::ALL {
-            let (cost, _) = evaluate_on(
+            let (cost, _) = eval_facts(
                 backend,
                 &TropicalMinMonoid,
                 &q,
@@ -470,7 +399,7 @@ mod tests {
                     db.insert_tuple(e, hq_db::Tuple::ints(&[k, k]));
                     db.insert_tuple(f, hq_db::Tuple::ints(&[k, k + 1]));
                 }
-                let (_, stats) = evaluate_on(
+                let (_, stats) = eval_facts(
                     backend,
                     &CountMonoid,
                     &q,
@@ -494,7 +423,7 @@ mod tests {
         let q = Query::new(&[("A", &["X"]), ("B", &["Y"])]).unwrap();
         let (db, i) = db_from_ints(&[("A", &[&[1], &[2], &[3]]), ("B", &[&[7], &[8]])]);
         for backend in Backend::ALL {
-            let (count, _) = evaluate_on(
+            let (count, _) = eval_facts(
                 backend,
                 &CountMonoid,
                 &q,
@@ -512,7 +441,7 @@ mod tests {
         let q = q_hierarchical();
         let (db, i) = db_from_ints(&[("E", &[&[1, 2]]), ("F", &[&[2, 3]])]);
         for backend in Backend::ALL {
-            let (p, stats) = evaluate_on(
+            let (p, stats) = eval_facts(
                 backend,
                 &ProbMonoid,
                 &q,
@@ -542,8 +471,8 @@ mod tests {
             .enumerate()
             .map(|(j, f)| (f, 0.17 + 0.19 * j as f64))
             .collect();
-        let (pm, sm) = evaluate_on(Backend::Map, &ProbMonoid, &q, &i, facts.clone()).unwrap();
-        let (pc, sc) = evaluate_on(Backend::Columnar, &ProbMonoid, &q, &i, facts).unwrap();
+        let (pm, sm) = eval_facts(Backend::Map, &ProbMonoid, &q, &i, facts.clone()).unwrap();
+        let (pc, sc) = eval_facts(Backend::Columnar, &ProbMonoid, &q, &i, facts).unwrap();
         assert_eq!(pm.to_bits(), pc.to_bits(), "map {pm} vs columnar {pc}");
         assert_eq!(sm, sc);
     }

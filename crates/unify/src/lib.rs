@@ -29,37 +29,41 @@
 //!   when the dropped column breaks the order), Rule 2 a linear
 //!   sort-merge outer join; no per-tuple allocation on the hot path.
 //!
-//! Both backends apply the same monoid operations in the same order,
+//! All backends apply the same monoid operations in the same order,
 //! so results are **bit-identical** (floats included) and
 //! [`EngineStats`] agree exactly; the workspace's
 //! `differential_backends` suite pins this down on random hierarchical
-//! instances. Every front-end takes a runtime [`Backend`] in its
-//! `*_on` variant ([`pqe::probability_on`], [`bsm::maximize_on`],
-//! [`shapley::shapley_values_on`], …); the plain entry points run the
-//! ordered-map oracle. The `hq` CLI selects with
-//! `--backend map|columnar` and the criterion benches in `hq-bench`
-//! race the two layouts on identical workloads.
+//! instances. The block-compressed tier
+//! ([`storage::CompressedColumnar`]) trades CPU for a smaller resident
+//! footprint under the same contract.
 //!
-//! ## Parallel sharded execution
+//! ## One execution option
 //!
-//! The columnar layout is partition-ready: sorted matrices cut into
-//! contiguous shards on key boundaries, so Rule 1 folds and Rule 2
-//! merges decompose into independent per-shard kernels
-//! ([`storage::ShardedColumnar`]). Every front-end takes a
-//! [`Parallelism`] degree in its `*_par` variant
-//! ([`pqe::probability_par`], [`bsm::maximize_par`],
-//! [`shapley::shapley_values_par`],
-//! [`ServingSession::with_parallelism`], …), and the CLI exposes
-//! `--threads N|max`. Shard kernels run on a persistent process-wide
+//! Each front-end family has two entry points: the plain one runs the
+//! ordered-map oracle sequentially, and the `*_on` variant takes an
+//! [`Exec`] — the storage [`Backend`] plus a [`Parallelism`] degree
+//! ([`evaluate_on`], [`pqe::probability_on`], [`bsm::maximize_on`],
+//! [`shapley::shapley_values_on`], …). The `hq` CLI selects with
+//! `--backend map|columnar|compressed` and `--threads N|max`.
+//!
+//! Parallelism is an argument of the two rule kernels, not a storage
+//! type: [`Storage::project_out`] and [`Storage::merge`] take the
+//! run's degree, and the engine ([`run_plan`]) and both serving
+//! layers ([`ServingSession::with_parallelism`],
+//! [`Server::with_parallelism`]) pass it through. The columnar layout
+//! is partition-ready — sorted matrices cut into contiguous shards on
+//! key boundaries, so Rule 1 folds and Rule 2 merges decompose into
+//! independent per-shard kernels on a persistent process-wide
 //! work-stealing worker [`pool`] (warmed once, zero thread spawns per
-//! rule application afterwards); the general-column argsort runs as a
-//! parallel merge sort over the same pool, and the prob/count folds
-//! take a dense auto-vectorisable fast path
-//! ([`hq_monoid::DenseFold`]). Shard outputs and per-shard op counts
-//! are recombined in fixed shard order and per-group folds stay
-//! sequential, so **every thread count returns bit-identical results
-//! and identical [`EngineStats`]** — pinned by the
-//! `differential_parallel` suite.
+//! rule application afterwards). Below the per-shard work-size floor,
+//! and at degree 1, it runs its sequential kernels; the other layouts
+//! ignore the degree. The general-column argsort runs as a parallel
+//! merge sort over the same pool, and the prob/count folds take a
+//! dense auto-vectorisable fast path ([`hq_monoid::DenseFold`]).
+//! Shard outputs and per-shard op counts are recombined in fixed shard
+//! order and per-group folds stay sequential, so **every thread count
+//! returns bit-identical results and identical [`EngineStats`]** —
+//! pinned by the `differential_parallel` suite.
 //!
 //! ## Batched multi-query serving
 //!
@@ -107,7 +111,7 @@
 //!
 //! // Same instance on the columnar backend: identical answer.
 //! use hq_unify::Backend;
-//! let fast = bsm::maximize_on(Backend::Columnar, &q, &interner, &d, &d_r, 2).unwrap();
+//! let fast = bsm::maximize_on(Backend::Columnar.into(), &q, &interner, &d, &d_r, 2).unwrap();
 //! assert_eq!(fast.curve, solution.curve);
 //! ```
 
@@ -132,10 +136,7 @@ pub use annotated::{
     annotate, annotate_columnar, annotate_with, AnnotateError, AnnotatedDb, AnnotatedRelation,
 };
 pub use bsm::{maximize, maximize_with_repair, BsmRepairSolution, BsmSolution, PsiClass};
-pub use engine::{
-    evaluate, evaluate_compressed_par, evaluate_encoded, evaluate_on, evaluate_on_par, run_plan,
-    EngineStats, UnifyError,
-};
+pub use engine::{evaluate, evaluate_encoded, evaluate_on, run_plan, EngineStats, UnifyError};
 pub use fixpoint::{
     patch_inserts, semi_naive, transitive_closure, transitive_closure_on, validate_fixpoint,
     FixSpec, FixpointError, FixpointRun, PatchOutcome, PatchStats, StepShape,
@@ -153,7 +154,7 @@ pub use serving::{ServingBackend, ServingError, ServingSession, UpdateOutcome};
 pub use shapley::{sat_counts, shapley_value, shapley_values, FactRole, ShapleyError};
 pub use storage::{
     Backend, ColumnarRelation, CompressedAnn, CompressedBuilder, CompressedColumnar, EncodedDb,
-    MapRelation, Parallelism, RefreshOutcome, ShardedColumnar, Storage,
+    Exec, MapRelation, Parallelism, RefreshOutcome, Storage,
 };
 
 /// Maintenance under update schedules, driven through one-query

@@ -1,6 +1,8 @@
 //! Persistent work-stealing worker pool for shard-parallel execution.
 //!
-//! The sharded executor used to spawn fresh `std::thread::scope`
+//! The columnar layout's shard kernels run whenever a rule
+//! application's [`Parallelism`](crate::Parallelism) degree yields more
+//! than one shard. They used to spawn fresh `std::thread::scope`
 //! workers on *every* rule application; at realistic shard sizes the
 //! spawn/join cost rivalled the kernel work and the measured speedup
 //! hovered around 1×. This module replaces that with one
@@ -14,8 +16,8 @@
 //! * [`run_batch`] executes a batch of closures and returns their
 //!   results **in submission order** — scheduling (which worker ran
 //!   which shard, in what interleaving) can never leak into results,
-//!   which is what keeps the sharded backend bit-identical to the
-//!   sequential one at every thread count;
+//!   which is what keeps parallel rule applications bit-identical to
+//!   the sequential ones at every thread count;
 //! * the submitting thread participates as one executor of its own
 //!   batch, so a degree-`d` batch needs only `d − 1` pool workers,
 //!   degree-1 batches never touch the pool at all, and the pool works
@@ -270,7 +272,7 @@ impl<T> BatchState<T> {
 /// thread plus `degree − 1` pool workers) and returns the results in
 /// task order. Shard outputs therefore recombine in **fixed shard
 /// order** no matter which worker ran which shard — the determinism
-/// contract of the sharded backend.
+/// contract of the columnar shard kernels.
 ///
 /// Degenerate cases stay strictly sequential on the calling thread:
 /// `degree ≤ 1`, a single task, or a call made from inside a pool task

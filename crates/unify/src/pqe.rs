@@ -6,12 +6,10 @@
 //! in time `O(|D|)`. This instantiation of Algorithm 1 specialises
 //! exactly to the Dalvi–Suciu algorithm.
 
-use crate::engine::{
-    evaluate_columnar_par, evaluate_compressed_par, evaluate_on_par, EngineStats, UnifyError,
-};
+use crate::engine::{evaluate_on, fact_rows, EngineStats, UnifyError};
 use crate::fixpoint::{transitive_closure, transitive_closure_on};
 use crate::serving::{ServingBackend, ServingError, ServingSession, UpdateOutcome};
-use crate::storage::{Backend, ColumnarRelation, Parallelism};
+use crate::storage::{Backend, ColumnarRelation, Exec, Parallelism};
 use hq_arith::Rational;
 use hq_db::{Fact, Interner, Tuple, Value};
 use hq_monoid::{ExactProbMonoid, ProbMonoid};
@@ -58,80 +56,8 @@ impl From<ServingError> for PqeError {
     }
 }
 
-/// Computes `P(Q = true)` over the tuple-independent database given as
-/// `(fact, probability)` pairs, along with engine statistics.
-///
-/// # Errors
-/// Rejects non-hierarchical queries, malformed fact lists, and
-/// probabilities outside `[0, 1]`.
-pub fn probability_with_stats(
-    q: &Query,
-    interner: &Interner,
-    tid: &[(Fact, f64)],
-) -> Result<(f64, EngineStats), PqeError> {
-    probability_with_stats_on(Backend::Map, q, interner, tid)
-}
-
-/// [`probability_with_stats`] on an explicit storage backend. All
-/// backends return bit-identical probabilities and identical stats.
-///
-/// # Errors
-/// See [`probability_with_stats`].
-pub fn probability_with_stats_on(
-    backend: Backend,
-    q: &Query,
-    interner: &Interner,
-    tid: &[(Fact, f64)],
-) -> Result<(f64, EngineStats), PqeError> {
-    probability_with_stats_par(backend, Parallelism::default(), q, interner, tid)
-}
-
-/// [`probability_with_stats_on`] with an explicit [`Parallelism`]
-/// degree: shard kernels run on the persistent worker
-/// [`pool`](crate::pool) (no per-call thread spawns) and the ψ-fold
-/// takes [`hq_monoid::DenseFold`]'s vectorisable fast path, yet
-/// probabilities and stats stay bit-identical at every thread count.
-///
-/// # Errors
-/// See [`probability_with_stats`].
-pub fn probability_with_stats_par(
-    backend: Backend,
-    par: Parallelism,
-    q: &Query,
-    interner: &Interner,
-    tid: &[(Fact, f64)],
-) -> Result<(f64, EngineStats), PqeError> {
-    validate(tid.iter().map(|&(_, p)| p))?;
-    // The columnar path annotates straight from the borrowed fact
-    // list — no per-fact tuple clone.
-    let out = match backend {
-        Backend::Columnar => evaluate_columnar_par(
-            par,
-            &ProbMonoid,
-            q,
-            interner,
-            tid.iter().map(|(f, p)| (f.rel, &f.tuple, *p)),
-        )?,
-        Backend::Compressed => evaluate_compressed_par(
-            par,
-            &ProbMonoid,
-            q,
-            interner,
-            tid.iter().map(|(f, p)| (f.rel, &f.tuple, *p)),
-        )?,
-        Backend::Map => evaluate_on_par(
-            backend,
-            par,
-            &ProbMonoid,
-            q,
-            interner,
-            tid.iter().map(|(f, p)| (f.clone(), *p)),
-        )?,
-    };
-    Ok(out)
-}
-
-/// Computes `P(Q = true)` (probability only).
+/// Computes `P(Q = true)` (probability only) on the ordered-map
+/// oracle, run sequentially.
 ///
 /// ```
 /// use hq_db::db_from_ints;
@@ -150,36 +76,28 @@ pub fn probability_with_stats_par(
 /// ```
 ///
 /// # Errors
-/// See [`probability_with_stats`].
+/// Rejects non-hierarchical queries, malformed fact lists, and
+/// probabilities outside `[0, 1]`.
 pub fn probability(q: &Query, interner: &Interner, tid: &[(Fact, f64)]) -> Result<f64, PqeError> {
-    probability_with_stats(q, interner, tid).map(|(p, _)| p)
+    probability_on(Exec::default(), q, interner, tid).map(|(p, _)| p)
 }
 
-/// [`probability`] on an explicit storage backend.
+/// Computes `P(Q = true)` over the tuple-independent database given as
+/// `(fact, probability)` pairs under an explicit [`Exec`] choice,
+/// along with engine statistics. Every backend and degree returns
+/// bit-identical probabilities and identical stats; the ψ-fold takes
+/// [`hq_monoid::DenseFold`]'s vectorisable fast path everywhere.
 ///
 /// # Errors
-/// See [`probability_with_stats`].
+/// See [`probability`].
 pub fn probability_on(
-    backend: Backend,
+    exec: Exec,
     q: &Query,
     interner: &Interner,
     tid: &[(Fact, f64)],
-) -> Result<f64, PqeError> {
-    probability_with_stats_on(backend, q, interner, tid).map(|(p, _)| p)
-}
-
-/// [`probability`] on an explicit backend and [`Parallelism`] degree.
-///
-/// # Errors
-/// See [`probability_with_stats`].
-pub fn probability_par(
-    backend: Backend,
-    par: Parallelism,
-    q: &Query,
-    interner: &Interner,
-    tid: &[(Fact, f64)],
-) -> Result<f64, PqeError> {
-    probability_with_stats_par(backend, par, q, interner, tid).map(|(p, _)| p)
+) -> Result<(f64, EngineStats), PqeError> {
+    validate(tid.iter().map(|&(_, p)| p))?;
+    Ok(evaluate_on(exec, &ProbMonoid, q, interner, fact_rows(tid))?)
 }
 
 /// Exact-rational PQE: same algorithm over the exact probability
@@ -193,59 +111,20 @@ pub fn probability_exact(
     interner: &Interner,
     tid: &[(Fact, Rational)],
 ) -> Result<Rational, UnifyError> {
-    probability_exact_on(Backend::Map, q, interner, tid)
+    probability_exact_on(Exec::default(), q, interner, tid)
 }
 
-/// [`probability_exact`] on an explicit storage backend.
+/// [`probability_exact`] under an explicit [`Exec`] choice.
 ///
 /// # Errors
 /// Rejects non-hierarchical queries and malformed fact lists.
 pub fn probability_exact_on(
-    backend: Backend,
+    exec: Exec,
     q: &Query,
     interner: &Interner,
     tid: &[(Fact, Rational)],
 ) -> Result<Rational, UnifyError> {
-    probability_exact_par(backend, Parallelism::default(), q, interner, tid)
-}
-
-/// [`probability_exact`] on an explicit backend and [`Parallelism`]
-/// degree.
-///
-/// # Errors
-/// Rejects non-hierarchical queries and malformed fact lists.
-pub fn probability_exact_par(
-    backend: Backend,
-    par: Parallelism,
-    q: &Query,
-    interner: &Interner,
-    tid: &[(Fact, Rational)],
-) -> Result<Rational, UnifyError> {
-    let (p, _) = match backend {
-        Backend::Columnar => evaluate_columnar_par(
-            par,
-            &ExactProbMonoid,
-            q,
-            interner,
-            tid.iter().map(|(f, p)| (f.rel, &f.tuple, p.clone())),
-        )?,
-        Backend::Compressed => evaluate_compressed_par(
-            par,
-            &ExactProbMonoid,
-            q,
-            interner,
-            tid.iter().map(|(f, p)| (f.rel, &f.tuple, p.clone())),
-        )?,
-        Backend::Map => evaluate_on_par(
-            backend,
-            par,
-            &ExactProbMonoid,
-            q,
-            interner,
-            tid.iter().map(|(f, p)| (f.clone(), p.clone())),
-        )?,
-    };
-    Ok(p)
+    evaluate_on(exec, &ExactProbMonoid, q, interner, fact_rows(tid)).map(|(p, _)| p)
 }
 
 /// Computes the **expected bag-set value** `E[Q(D)]` — the expected
@@ -261,60 +140,22 @@ pub fn expected_count(
     interner: &Interner,
     tid: &[(Fact, f64)],
 ) -> Result<f64, PqeError> {
-    expected_count_on(Backend::Map, q, interner, tid)
+    expected_count_on(Exec::default(), q, interner, tid)
 }
 
-/// [`expected_count`] on an explicit storage backend.
+/// [`expected_count`] under an explicit [`Exec`] choice.
 ///
 /// # Errors
 /// Same failure modes as [`probability`].
 pub fn expected_count_on(
-    backend: Backend,
-    q: &Query,
-    interner: &Interner,
-    tid: &[(Fact, f64)],
-) -> Result<f64, PqeError> {
-    expected_count_par(backend, Parallelism::default(), q, interner, tid)
-}
-
-/// [`expected_count`] on an explicit backend and [`Parallelism`]
-/// degree.
-///
-/// # Errors
-/// Same failure modes as [`probability`].
-pub fn expected_count_par(
-    backend: Backend,
-    par: Parallelism,
+    exec: Exec,
     q: &Query,
     interner: &Interner,
     tid: &[(Fact, f64)],
 ) -> Result<f64, PqeError> {
     validate(tid.iter().map(|&(_, p)| p))?;
-    let (e, _) = match backend {
-        Backend::Columnar => evaluate_columnar_par(
-            par,
-            &hq_monoid::RealSemiring,
-            q,
-            interner,
-            tid.iter().map(|(f, p)| (f.rel, &f.tuple, *p)),
-        )?,
-        Backend::Compressed => evaluate_compressed_par(
-            par,
-            &hq_monoid::RealSemiring,
-            q,
-            interner,
-            tid.iter().map(|(f, p)| (f.rel, &f.tuple, *p)),
-        )?,
-        Backend::Map => evaluate_on_par(
-            backend,
-            par,
-            &hq_monoid::RealSemiring,
-            q,
-            interner,
-            tid.iter().map(|(f, p)| (f.clone(), *p)),
-        )?,
-    };
-    Ok(e)
+    let rows = fact_rows(tid);
+    Ok(evaluate_on(exec, &hq_monoid::RealSemiring, q, interner, rows)?.0)
 }
 
 /// Rejects the first probability outside `[0, 1]` (NaN included).
@@ -376,14 +217,15 @@ pub fn reachability_on(
 /// session's shared [`crate::plan_ir::PlanIr`]; common sub-plans across
 /// queries are evaluated once per backend, and every returned
 /// probability and [`EngineStats`] is bit-identical to an independent
-/// [`probability_with_stats_par`] evaluation of the current state.
+/// [`probability_on`] evaluation of the current state.
 pub struct PqeSession<R: ServingBackend<Ann = f64> = ColumnarRelation<f64>> {
     session: ServingSession<ProbMonoid, R>,
 }
 
 impl<R: ServingBackend<Ann = f64>> PqeSession<R> {
     /// Builds the session with an explicit [`Parallelism`] degree
-    /// (meaningful on the sharded backend; bit-identical everywhere).
+    /// (the columnar layout shards its rules; bit-identical
+    /// everywhere).
     ///
     /// # Errors
     /// Rejects probabilities outside `[0, 1]` and inconsistent arities.
@@ -515,7 +357,7 @@ impl<R: ServingBackend<Ann = f64>> PqeSession<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{CompressedColumnar, MapRelation, ShardedColumnar};
+    use crate::storage::{CompressedColumnar, MapRelation};
     use hq_db::db_from_ints;
     use hq_query::{example_query, q_hierarchical, q_non_hierarchical, Query};
 
@@ -643,7 +485,7 @@ mod tests {
         let mut map = PqeSession::<MapRelation<f64>>::new(&i, &tid).unwrap();
         let mut col = PqeSession::<ColumnarRelation<f64>>::new(&i, &tid).unwrap();
         let mut cmp = PqeSession::<CompressedColumnar<f64>>::new(&i, &tid).unwrap();
-        let mut sh = PqeSession::<ShardedColumnar<f64>>::with_parallelism(
+        let mut sh = PqeSession::<ColumnarRelation<f64>>::with_parallelism(
             &i,
             &tid,
             Parallelism::fine_grained(3),
@@ -684,15 +526,14 @@ mod tests {
         let tid = tid_uniform(&db, 0.5);
         let mut map = PqeSession::<MapRelation<f64>>::new(&i, &tid).unwrap();
         let mut col: PqeSession = PqeSession::new(&i, &tid).unwrap();
-        let mut sh = PqeSession::<ShardedColumnar<f64>>::with_parallelism(
+        let mut sh = PqeSession::<ColumnarRelation<f64>>::with_parallelism(
             &i,
             &tid,
             Parallelism::fine_grained(2),
         )
         .unwrap();
         for q in [&q_full, &q_sub] {
-            let (want, want_stats) =
-                probability_with_stats_on(Backend::Columnar, q, &i, &tid).unwrap();
+            let (want, want_stats) = probability_on(Backend::Columnar.into(), q, &i, &tid).unwrap();
             for (p, stats) in [
                 map.query(&i, q).unwrap(),
                 col.query(&i, q).unwrap(),
@@ -706,7 +547,7 @@ mod tests {
         let independent: u64 = [&q_full, &q_sub]
             .iter()
             .map(|q| {
-                probability_with_stats_on(Backend::Columnar, q, &i, &tid)
+                probability_on(Backend::Columnar.into(), q, &i, &tid)
                     .unwrap()
                     .1
                     .total_ops()
@@ -717,8 +558,7 @@ mod tests {
         let mut current = tid.clone();
         current[0].1 = 0.9;
         col.update(&i, &current[0].0, 0.9).unwrap();
-        let (fresh, _) =
-            probability_with_stats_on(Backend::Columnar, &q_full, &i, &current).unwrap();
+        let (fresh, _) = probability_on(Backend::Columnar.into(), &q_full, &i, &current).unwrap();
         let (got, _) = col.query(&i, &q_full).unwrap();
         assert_eq!(got.to_bits(), fresh.to_bits());
         assert!(col.update(&i, &current[0].0, 1.5).is_err());

@@ -1433,7 +1433,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{MapRelation, ShardedColumnar};
+    use crate::storage::MapRelation;
     use hq_db::{db_from_ints, Tuple};
     use hq_monoid::ProbMonoid;
     use hq_query::parse_query;
@@ -1482,7 +1482,7 @@ mod tests {
     fn pinned_reader_is_isolated_from_writer() {
         let (tid, mut i) = chain_tid();
         let q = parse_query("Q() :- E(X,Y), F(Y,Z)").unwrap();
-        let server: Server<ProbMonoid, ShardedColumnar<f64>> = Server::with_parallelism(
+        let server: Server<ProbMonoid, ColumnarRelation<f64>> = Server::with_parallelism(
             ProbMonoid,
             &i,
             tid.iter().cloned(),
@@ -1505,7 +1505,7 @@ mod tests {
         // serial session replaying the same history.
         let fresh = server.session();
         let (new_got, new_stats) = fresh.query(&i, &q).unwrap();
-        let mut serial: ServingSession<ProbMonoid, ShardedColumnar<f64>> =
+        let mut serial: ServingSession<ProbMonoid, ColumnarRelation<f64>> =
             ServingSession::with_parallelism(
                 ProbMonoid,
                 &i,
@@ -1534,7 +1534,7 @@ mod tests {
             .enumerate()
             .map(|(j, f)| (f, 0.2 + 0.07 * j as f64))
             .collect();
-        let mut serial: ServingSession<ProbMonoid, ShardedColumnar<f64>> =
+        let mut serial: ServingSession<ProbMonoid, ColumnarRelation<f64>> =
             ServingSession::with_parallelism(
                 ProbMonoid,
                 &i,
@@ -1542,7 +1542,7 @@ mod tests {
                 Parallelism::fine_grained(2),
             )
             .unwrap();
-        let server: Server<ProbMonoid, ShardedColumnar<f64>> = Server::with_parallelism(
+        let server: Server<ProbMonoid, ColumnarRelation<f64>> = Server::with_parallelism(
             ProbMonoid,
             &i,
             tid.iter().cloned(),

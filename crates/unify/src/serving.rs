@@ -63,7 +63,7 @@ use crate::plan_ir::{lower, LoweredQuery, PlanExpr, PlanId, PlanIr};
 use crate::pool;
 use crate::storage::{
     ColumnarRelation, CompressedAnn, CompressedColumnar, EncodedDb, MapRelation, Parallelism,
-    RefreshOutcome, ShardedColumnar, Storage,
+    RefreshOutcome, Storage,
 };
 use hq_db::{Database, Fact, Interner, RowCode, Sym, Tuple, Value, ValueDict};
 use hq_monoid::TwoMonoid;
@@ -268,7 +268,7 @@ pub(crate) fn query_shape(q: &Query) -> QueryShape {
 const DEFAULT_PATCH_FRACTION: f64 = 0.5;
 
 /// A backend that can materialise serving-session scan nodes. The
-/// four engine backends implement it; all stay bit-identical.
+/// three engine backends implement it; all stay bit-identical.
 pub trait ServingBackend: Storage {
     /// Whether this backend's scans read the session's [`EncodedDb`].
     /// When `false` (the ordered-map oracle — tuples carry their
@@ -293,7 +293,6 @@ pub trait ServingBackend: Storage {
         positions: &[usize],
         vars: Vec<Var>,
         ann: &mut dyn FnMut(Sym, &Tuple) -> Self::Ann,
-        par: Parallelism,
     ) -> Result<Self, AnnotateError>;
 
     /// Overwrites the relation's schema labels. Shared plan nodes are
@@ -368,7 +367,6 @@ impl<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> ServingBackend
         positions: &[usize],
         vars: Vec<Var>,
         mut ann: &mut dyn FnMut(Sym, &Tuple) -> K,
-        _par: Parallelism,
     ) -> Result<Self, AnnotateError> {
         enc.encode_slot(
             db,
@@ -390,36 +388,6 @@ impl<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> ServingBackend
     }
 }
 
-impl<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> ServingBackend
-    for ShardedColumnar<K>
-{
-    const USES_ENCODING: bool = true;
-
-    fn scan(
-        enc: &EncodedDb,
-        db: &Database,
-        interner: &Interner,
-        rel: &str,
-        positions: &[usize],
-        vars: Vec<Var>,
-        ann: &mut dyn FnMut(Sym, &Tuple) -> K,
-        par: Parallelism,
-    ) -> Result<Self, AnnotateError> {
-        Ok(ShardedColumnar::new(
-            ColumnarRelation::scan(enc, db, interner, rel, positions, vars, ann, par)?,
-            par,
-        ))
-    }
-
-    fn relabel(&mut self, vars: Vec<Var>) {
-        self.inner_mut().relabel(vars);
-    }
-
-    fn translate_codes(&mut self, dict: &Arc<ValueDict>, translation: &[RowCode]) {
-        self.inner_mut().remap_codes(dict, translation);
-    }
-}
-
 impl<K> ServingBackend for CompressedColumnar<K>
 where
     K: CompressedAnn + Clone + PartialEq + fmt::Debug + Send + Sync + 'static,
@@ -435,12 +403,11 @@ where
         positions: &[usize],
         vars: Vec<Var>,
         ann: &mut dyn FnMut(Sym, &Tuple) -> K,
-        par: Parallelism,
     ) -> Result<Self, AnnotateError> {
         // Assemble the dense sorted matrix from the cached codes, then
         // block-encode it — the same two-phase build as annotation.
         Ok(CompressedColumnar::from_columnar(ColumnarRelation::scan(
-            enc, db, interner, rel, positions, vars, ann, par,
+            enc, db, interner, rel, positions, vars, ann,
         )?))
     }
 
@@ -472,7 +439,6 @@ impl<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> ServingBackend f
         positions: &[usize],
         vars: Vec<Var>,
         ann: &mut dyn FnMut(Sym, &Tuple) -> K,
-        _par: Parallelism,
     ) -> Result<Self, AnnotateError> {
         let identity = non_identity(positions).is_none();
         let mut rows: Vec<(Tuple, K)> = Vec::new();
@@ -663,14 +629,12 @@ where
                     .cloned()
                     .expect("database and annotation map stay in sync")
             };
-            R::scan(
-                base.enc, base.db, interner, rel, positions, vars, &mut ann, par,
-            )?
+            R::scan(base.enc, base.db, interner, rel, positions, vars, &mut ann)?
         }
         PlanExpr::Project { input: from, col } => {
             let input_rel = input(*from).rel.clone();
             let var = input_rel.vars()[*col];
-            input_rel.project_out(monoid, var, &mut stats)
+            input_rel.project_out(monoid, var, par, &mut stats)
         }
         PlanExpr::Join { left, right } => {
             let l = input(*left).rel.clone();
@@ -680,7 +644,7 @@ where
             // are keyed in ascending-label column order, so column j
             // corresponds to column j).
             r.relabel(l.vars().to_vec());
-            l.merge(monoid, r, &mut stats)
+            l.merge(monoid, r, par, &mut stats)
         }
         PlanExpr::Rec | PlanExpr::Compose { .. } => {
             unreachable!("loop variables and compose steps are never materialised")
@@ -856,9 +820,10 @@ where
         Self::with_parallelism(monoid, interner, facts, Parallelism::default())
     }
 
-    /// [`ServingSession::new`] with an explicit [`Parallelism`] degree
-    /// (used by the sharded backend's kernels; results stay
-    /// bit-identical at every thread count).
+    /// [`ServingSession::new`] with an explicit [`Parallelism`] degree,
+    /// passed to every rule application and dirty-group refold (the
+    /// columnar layout shards; results stay bit-identical at every
+    /// thread count).
     ///
     /// # Errors
     /// Rejects fact lists that give one relation two different arities.
@@ -2026,8 +1991,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{evaluate_encoded, evaluate_on_par};
-    use crate::storage::Backend;
+    use crate::engine::{evaluate_encoded, evaluate_on, fact_rows};
+    use crate::storage::{Backend, Exec};
     use hq_db::db_from_ints;
     use hq_monoid::{CountMonoid, ProbMonoid};
     use hq_query::parse_query;
@@ -2065,7 +2030,7 @@ mod tests {
         backend: Backend,
         par: Parallelism,
     ) -> (f64, EngineStats) {
-        evaluate_on_par(backend, par, &ProbMonoid, q, i, tid.iter().cloned()).unwrap()
+        evaluate_on(Exec::new(backend, par), &ProbMonoid, q, i, fact_rows(tid)).unwrap()
     }
 
     #[test]
@@ -2084,7 +2049,7 @@ mod tests {
             let (got, stats) = col.query(&i, &q).unwrap();
             assert_eq!(got.to_bits(), want.to_bits(), "columnar {q}");
             assert_eq!(stats, want_stats, "columnar {q}");
-            let mut sh: ServingSession<ProbMonoid, ShardedColumnar<f64>> =
+            let mut sh: ServingSession<ProbMonoid, ColumnarRelation<f64>> =
                 ServingSession::with_parallelism(
                     ProbMonoid,
                     &i,

@@ -15,9 +15,9 @@
 //! All arithmetic is exact: counts are [`Natural`]s and Shapley values
 //! exact [`Rational`]s.
 
-use crate::engine::{evaluate_on_par, UnifyError};
+use crate::engine::{evaluate_on, UnifyError};
 use crate::serving::{ServingBackend, ServingError, ServingSession, UpdateOutcome};
-use crate::storage::{Backend, Parallelism};
+use crate::storage::{Exec, Parallelism};
 use hq_arith::{binomial, shapley_weight, Natural, Rational};
 use hq_db::{Fact, Interner};
 use hq_monoid::{SatCountMonoid, SatVec, TwoMonoid};
@@ -98,39 +98,16 @@ pub fn sat_counts(
     exogenous: &[Fact],
     endogenous: &[Fact],
 ) -> Result<SatVec, ShapleyError> {
-    sat_counts_on(Backend::Map, q, interner, exogenous, endogenous)
+    sat_counts_on(Exec::default(), q, interner, exogenous, endogenous)
 }
 
-/// [`sat_counts`] on an explicit storage backend.
+/// [`sat_counts`] under an explicit [`Exec`] choice (counts are
+/// bit-identical on every backend and degree).
 ///
 /// # Errors
 /// Same failure modes as [`sat_counts`].
 pub fn sat_counts_on(
-    backend: Backend,
-    q: &Query,
-    interner: &Interner,
-    exogenous: &[Fact],
-    endogenous: &[Fact],
-) -> Result<SatVec, ShapleyError> {
-    sat_counts_par(
-        backend,
-        Parallelism::default(),
-        q,
-        interner,
-        exogenous,
-        endogenous,
-    )
-}
-
-/// [`sat_counts`] on an explicit backend and [`Parallelism`] degree
-/// (shard kernels run on the persistent worker [`pool`](crate::pool);
-/// counts are bit-identical at every thread count).
-///
-/// # Errors
-/// Same failure modes as [`sat_counts`].
-pub fn sat_counts_par(
-    backend: Backend,
-    par: Parallelism,
+    exec: Exec,
     q: &Query,
     interner: &Interner,
     exogenous: &[Fact],
@@ -149,14 +126,13 @@ pub fn sat_counts_par(
     let (visible, invisible): (Vec<&Fact>, Vec<&Fact>) =
         endogenous.iter().partition(|f| query_rels.contains(&f.rel));
     let invisible_count = invisible.len() as u64;
-    let mut facts: Vec<(Fact, SatVec)> = Vec::with_capacity(exogenous.len() + visible.len());
-    for f in exogenous {
-        facts.push((f.clone(), monoid.one()));
-    }
-    for f in visible {
-        facts.push((f.clone(), monoid.star()));
-    }
-    let (mut vec, _) = evaluate_on_par(backend, par, &monoid, q, interner, facts)?;
+    let (one, star) = (monoid.one(), monoid.star());
+    let rows = exogenous
+        .iter()
+        .map(|f| (f, &one))
+        .chain(visible.into_iter().map(|f| (f, &star)))
+        .map(|(f, k)| (f.rel, &f.tuple, k.clone()));
+    let (mut vec, _) = evaluate_on(exec, &monoid, q, interner, rows)?;
     if invisible_count > 0 {
         // Convolve with the free binomial choice over invisible facts.
         let row: Vec<Natural> = (0..=n as u64)
@@ -353,40 +329,15 @@ pub fn shapley_value(
     endogenous: &[Fact],
     fact: &Fact,
 ) -> Result<Rational, ShapleyError> {
-    shapley_value_on(Backend::Map, q, interner, exogenous, endogenous, fact)
+    shapley_value_on(Exec::default(), q, interner, exogenous, endogenous, fact)
 }
 
-/// [`shapley_value`] on an explicit storage backend.
+/// [`shapley_value`] under an explicit [`Exec`] choice.
 ///
 /// # Errors
 /// Same failure modes as [`shapley_value`].
 pub fn shapley_value_on(
-    backend: Backend,
-    q: &Query,
-    interner: &Interner,
-    exogenous: &[Fact],
-    endogenous: &[Fact],
-    fact: &Fact,
-) -> Result<Rational, ShapleyError> {
-    shapley_value_par(
-        backend,
-        Parallelism::default(),
-        q,
-        interner,
-        exogenous,
-        endogenous,
-        fact,
-    )
-}
-
-/// [`shapley_value`] on an explicit backend and [`Parallelism`]
-/// degree.
-///
-/// # Errors
-/// Same failure modes as [`shapley_value`].
-pub fn shapley_value_par(
-    backend: Backend,
-    par: Parallelism,
+    exec: Exec,
     q: &Query,
     interner: &Interner,
     exogenous: &[Fact],
@@ -404,8 +355,8 @@ pub fn shapley_value_par(
     rest.remove(pos);
     let mut exo_with = exogenous.to_vec();
     exo_with.push(fact.clone());
-    let with_f = sat_counts_par(backend, par, q, interner, &exo_with, &rest)?;
-    let without_f = sat_counts_par(backend, par, q, interner, exogenous, &rest)?;
+    let with_f = sat_counts_on(exec, q, interner, &exo_with, &rest)?;
+    let without_f = sat_counts_on(exec, q, interner, exogenous, &rest)?;
     let mut total = Rational::zero();
     for k in 0..n {
         let w = shapley_weight(n, k);
@@ -427,39 +378,17 @@ pub fn shapley_values(
     exogenous: &[Fact],
     endogenous: &[Fact],
 ) -> Result<Vec<(Fact, Rational)>, ShapleyError> {
-    shapley_values_on(Backend::Map, q, interner, exogenous, endogenous)
+    shapley_values_on(Exec::default(), q, interner, exogenous, endogenous)
 }
 
-/// [`shapley_values`] on an explicit storage backend.
+/// [`shapley_values`] under an explicit [`Exec`] choice (the degree
+/// shards each evaluation's rules; the per-fact loop stays
+/// sequential).
 ///
 /// # Errors
 /// Same failure modes as [`shapley_value`].
 pub fn shapley_values_on(
-    backend: Backend,
-    q: &Query,
-    interner: &Interner,
-    exogenous: &[Fact],
-    endogenous: &[Fact],
-) -> Result<Vec<(Fact, Rational)>, ShapleyError> {
-    shapley_values_par(
-        backend,
-        Parallelism::default(),
-        q,
-        interner,
-        exogenous,
-        endogenous,
-    )
-}
-
-/// [`shapley_values`] on an explicit backend and [`Parallelism`]
-/// degree (intra-query sharding on the persistent worker
-/// [`pool`](crate::pool); the per-fact loop stays sequential).
-///
-/// # Errors
-/// Same failure modes as [`shapley_value`].
-pub fn shapley_values_par(
-    backend: Backend,
-    par: Parallelism,
+    exec: Exec,
     q: &Query,
     interner: &Interner,
     exogenous: &[Fact],
@@ -468,8 +397,7 @@ pub fn shapley_values_par(
     endogenous
         .iter()
         .map(|f| {
-            shapley_value_par(backend, par, q, interner, exogenous, endogenous, f)
-                .map(|v| (f.clone(), v))
+            shapley_value_on(exec, q, interner, exogenous, endogenous, f).map(|v| (f.clone(), v))
         })
         .collect()
 }
@@ -503,14 +431,14 @@ mod tests {
         let (db, i) = db_from_ints(&[("E", &[&[1, 2], &[1, 3]]), ("F", &[&[2, 9], &[3, 8]])]);
         let endo = db.facts();
         let mut session: SatSession = SatSession::new(&i, &[], &endo, endo.len()).unwrap();
-        let fresh = sat_counts_on(Backend::Columnar, &q, &i, &[], &endo).unwrap();
+        let fresh = sat_counts_on(crate::Backend::Columnar.into(), &q, &i, &[], &endo).unwrap();
         assert_eq!(session.query(&i, &q).unwrap(), fresh);
         // Flip one fact to exogenous: the maintained session must match
         // a fresh evaluation of the flipped split.
         let exo = vec![endo[0].clone()];
         let rest: Vec<Fact> = endo[1..].to_vec();
         session.set_fact(&i, &endo[0], FactRole::Exogenous).unwrap();
-        let fresh = sat_counts_on(Backend::Columnar, &q, &i, &exo, &rest).unwrap();
+        let fresh = sat_counts_on(crate::Backend::Columnar.into(), &q, &i, &exo, &rest).unwrap();
         // Capacity differs (|D_n| shrank), so compare the shared prefix.
         let got = session.query(&i, &q).unwrap();
         for k in 0..fresh.t.len() {

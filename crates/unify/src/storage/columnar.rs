@@ -19,11 +19,19 @@
 //!   with 0-fill, skipping one-sided rows outright for annihilating
 //!   monoids.
 //!
+//! Both rules take the run's [`Parallelism`] degree. When it yields
+//! more than one shard for the input size, they run the shard-parallel
+//! kernels of the private `shard` submodule instead — the same kernels
+//! per shard, recombined in fixed shard order, so every degree is
+//! bit-identical to the sequential run.
+//!
 //! No `Tuple` is ever materialised on the hot path; decoding happens
 //! only in [`Storage::rows`] and the point-access methods used by the
 //! serving sessions' delta patches.
 
-use super::{DuplicateRow, OwnedSlot, Storage};
+mod shard;
+
+use super::{DuplicateRow, OwnedSlot, Parallelism, Storage};
 use crate::engine::EngineStats;
 use hq_db::{RowCode, Tuple, Value, ValueDict};
 use hq_monoid::TwoMonoid;
@@ -34,9 +42,9 @@ use std::sync::Arc;
 /// A K-annotated relation stored as a sorted code matrix plus an
 /// annotation column.
 ///
-/// Fields are `pub(super)` so the sharded executor
-/// ([`super::ShardedColumnar`]) can partition the matrices without an
-/// accessor layer; outside the storage module the layout is opaque.
+/// Fields are `pub(super)` so the compressed tier and the encoding
+/// cache can convert to and from the matrices without an accessor
+/// layer; outside the storage module the layout is opaque.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarRelation<K> {
     pub(super) vars: Vec<Var>,
@@ -321,6 +329,7 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage
         self,
         monoid: &M,
         var: Var,
+        par: Parallelism,
         stats: &mut EngineStats,
     ) -> Self {
         let pos = self
@@ -328,6 +337,10 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage
             .iter()
             .position(|&v| v == var)
             .expect("projected variable must be in the relation schema");
+        let shards = shard::shard_count(par, self.len);
+        if shards > 1 {
+            return shard::project_out(self, monoid, pos, shards, stats);
+        }
         let ColumnarRelation {
             mut vars,
             width,
@@ -366,6 +379,7 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage
         self,
         monoid: &M,
         right: Self,
+        par: Parallelism,
         stats: &mut EngineStats,
     ) -> Self {
         assert_eq!(
@@ -376,6 +390,10 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage
             *self.dict, *right.dict,
             "merged relations must share one instance dictionary"
         );
+        let shards = shard::shard_count(par, self.len.max(right.len));
+        if shards > 1 {
+            return shard::merge(self, monoid, right, shards, stats);
+        }
         let (out_keys, out_anns) =
             merge_ranges(monoid, &self, &right, 0..self.len, 0..right.len, stats);
         let len = out_anns.len();
@@ -532,11 +550,11 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage
 /// loop.
 ///
 /// This single implementation serves both the sequential projection
-/// (full range) and the sharded executor (one call per shard, with
+/// (full range) and the shard kernels (one call per shard, with
 /// shard boundaries on group boundaries so no group straddles a
 /// range) — which is what makes sharded output provably identical to
 /// sequential output.
-pub(super) fn fold_drop_last<M, K>(
+fn fold_drop_last<M, K>(
     monoid: &M,
     keys: &[RowCode],
     width: usize,
@@ -582,11 +600,7 @@ where
 /// a scratch matrix and stable-argsort the projected rows (ties keep
 /// full-row order, preserving the fold sequence of the ordered-map
 /// backend). Returns `(scratch, order)`.
-pub(super) fn project_scratch(
-    keys: &[RowCode],
-    width: usize,
-    pos: usize,
-) -> (Vec<RowCode>, Vec<u32>) {
+fn project_scratch(keys: &[RowCode], width: usize, pos: usize) -> (Vec<RowCode>, Vec<u32>) {
     let scratch = project_scratch_matrix(keys, width, pos);
     let nw = width - 1;
     let len = keys.len() / width;
@@ -596,9 +610,9 @@ pub(super) fn project_scratch(
 }
 
 /// Builds only the projected scratch matrix of [`project_scratch`],
-/// leaving the argsort to the caller — the sharded executor sorts it
-/// in parallel over the worker pool instead.
-pub(super) fn project_scratch_matrix(keys: &[RowCode], width: usize, pos: usize) -> Vec<RowCode> {
+/// leaving the argsort to the caller — the shard kernels sort it in
+/// parallel over the worker pool instead.
+fn project_scratch_matrix(keys: &[RowCode], width: usize, pos: usize) -> Vec<RowCode> {
     debug_assert!(width >= 2, "general column implies a non-last column");
     let len = keys.len() / width;
     let nw = width - 1;
@@ -618,12 +632,7 @@ pub(super) fn project_scratch_matrix(keys: &[RowCode], width: usize, pos: usize)
 /// `Equal`, and every sort over this comparator must be *stable* so
 /// ties keep ascending original-row order — the fold sequence of the
 /// ordered-map backend.
-pub(super) fn scratch_row_cmp(
-    scratch: &[RowCode],
-    nw: usize,
-    a: u32,
-    b: u32,
-) -> std::cmp::Ordering {
+fn scratch_row_cmp(scratch: &[RowCode], nw: usize, a: u32, b: u32) -> std::cmp::Ordering {
     let (a, b) = (a as usize, b as usize);
     scratch[a * nw..(a + 1) * nw].cmp(&scratch[b * nw..(b + 1) * nw])
 }
@@ -634,7 +643,7 @@ pub(super) fn scratch_row_cmp(
 /// exactly the groups it contains). `take(idx)` surrenders the
 /// annotation of input row `idx` — a move for the sequential caller, a
 /// clone from a shared slice for shard workers.
-pub(super) fn fold_sorted_groups<M, K>(
+fn fold_sorted_groups<M, K>(
     monoid: &M,
     scratch: &[RowCode],
     nw: usize,
@@ -685,11 +694,11 @@ where
 /// one-sided rows of annihilating monoids are skipped outright without
 /// counting a ⊗ — the Theorem 6.7 accounting for semirings).
 ///
-/// The sequential merge is the full-range call; the sharded executor
-/// calls it once per shard with both sides partitioned at the same
+/// The sequential merge is the full-range call; the shard kernels call
+/// it once per shard with both sides partitioned at the same
 /// boundary keys, so equal keys always meet in the same shard and the
 /// concatenated shard outputs equal the sequential output exactly.
-pub(super) fn merge_ranges<M, K>(
+fn merge_ranges<M, K>(
     monoid: &M,
     left: &ColumnarRelation<K>,
     right: &ColumnarRelation<K>,
@@ -826,7 +835,7 @@ mod tests {
         // Dropping the last sort column: groups are adjacent runs.
         let r = rel(&[0, 1], &[(&[1, 10], 2), (&[1, 20], 3), (&[2, 5], 7)]);
         let mut stats = EngineStats::default();
-        let out = r.project_out(&CountMonoid, Var(1), &mut stats);
+        let out = r.project_out(&CountMonoid, Var(1), Parallelism::default(), &mut stats);
         assert_eq!(
             out.rows(),
             vec![(Tuple::ints(&[1]), 5u64), (Tuple::ints(&[2]), 7u64)]
@@ -841,7 +850,7 @@ mod tests {
         // to 10 / 20 / 5 which must re-sort to 5 / 10 / 20.
         let r = rel(&[0, 1], &[(&[1, 10], 2), (&[1, 20], 3), (&[2, 5], 7)]);
         let mut stats = EngineStats::default();
-        let out = r.project_out(&CountMonoid, Var(0), &mut stats);
+        let out = r.project_out(&CountMonoid, Var(0), Parallelism::default(), &mut stats);
         assert_eq!(
             out.rows(),
             vec![
@@ -857,13 +866,18 @@ mod tests {
     fn projection_to_nullary_folds_everything() {
         let r = rel(&[3], &[(&[1], 2), (&[2], 3), (&[9], 4)]);
         let mut stats = EngineStats::default();
-        let out = r.project_out(&CountMonoid, Var(3), &mut stats);
+        let out = r.project_out(&CountMonoid, Var(3), Parallelism::default(), &mut stats);
         assert_eq!(out.support_size(), 1);
         assert_eq!(out.nullary_value(&CountMonoid), 9);
         assert_eq!(stats.add_ops, 2);
         // And an empty relation folds to empty support.
         let empty = rel(&[3], &[]);
-        let out = empty.project_out(&CountMonoid, Var(3), &mut EngineStats::default());
+        let out = empty.project_out(
+            &CountMonoid,
+            Var(3),
+            Parallelism::default(),
+            &mut EngineStats::default(),
+        );
         assert_eq!(out.support_size(), 0);
         assert_eq!(out.nullary_value(&CountMonoid), 0);
     }
@@ -910,7 +924,7 @@ mod tests {
         .pop()
         .unwrap();
         let mut stats = EngineStats::default();
-        let out = r.project_out(&ProbMonoid, Var(1), &mut stats);
+        let out = r.project_out(&ProbMonoid, Var(1), Parallelism::default(), &mut stats);
         // Group 2's fold is -0.0 → pruned; group 1 is non-zero.
         assert_eq!(out.support_size(), 1);
     }

@@ -1,13 +1,14 @@
-//! Deterministic parallel sharded execution over the columnar layout.
+//! Shard-parallel Rule 1 / Rule 2 kernels of the columnar layout.
 //!
-//! [`ShardedColumnar`] wraps a [`ColumnarRelation`] with a
-//! [`Parallelism`] degree and fans each Rule 1 grouped fold and Rule 2
-//! sort-merge out over the persistent work-stealing worker pool
-//! ([`crate::pool`]) — tasks are submitted as `'static` closures over
-//! `Arc`-shared inputs, so a rule application spawns **zero** threads
-//! once the pool is warm. The row matrices are already sorted, which
-//! makes them *partition-ready*: cut them into `S` contiguous shards
-//! and every rule application decomposes into `S` independent
+//! [`ColumnarRelation`] switches to these kernels when the
+//! [`Parallelism`] degree passed to a rule application yields more
+//! than one shard ([`shard_count`]); otherwise it runs its sequential
+//! kernels. Tasks are submitted to the persistent work-stealing worker
+//! pool ([`crate::pool`]) as `'static` closures over `Arc`-shared
+//! inputs, so a rule application spawns **zero** threads once the
+//! pool is warm. The row matrices are already sorted, which makes
+//! them *partition-ready*: cut them into `S` contiguous shards and
+//! every rule application decomposes into `S` independent
 //! sub-applications — **provided no logical unit of work straddles a
 //! cut**:
 //!
@@ -26,69 +27,33 @@
 //!   always meet inside one shard and the 0-filled outer join of a
 //!   non-annihilating monoid stays self-contained per shard.
 //!
-//! Each worker runs *the same kernel* as the sequential backend
-//! ([`columnar::fold_drop_last`], [`columnar::fold_sorted_groups`],
-//! [`columnar::merge_ranges`]) over its range, into its own output
-//! buffers and its own [`EngineStats`]. Outputs are concatenated and
-//! stats summed **in fixed shard order** after all workers join, so
-//! results (floats included) and op counts are bit-identical to the
-//! sequential columnar backend — the sequential engine is the oracle,
-//! and `tests/differential_parallel.rs` pins the equivalence at every
+//! Each worker runs *the same kernel* as the sequential path
+//! ([`fold_drop_last`], [`fold_sorted_groups`], [`merge_ranges`]) over
+//! its range, into its own output buffers and its own
+//! [`EngineStats`]. Outputs are concatenated and stats summed **in
+//! fixed shard order** after all workers join, so results (floats
+//! included) and op counts are bit-identical to the sequential kernels
+//! — the sequential engine is the oracle, and
+//! `tests/differential_parallel.rs` pins the equivalence at every
 //! thread count.
 
-use super::columnar::{self, ColumnarRelation};
-use super::{DuplicateRow, OwnedSlot, Parallelism, Storage};
+use super::{
+    fold_drop_last, fold_sorted_groups, merge_ranges, project_scratch_matrix, scratch_row_cmp,
+    ColumnarRelation,
+};
 use crate::engine::EngineStats;
 use crate::pool::{self, BatchTask};
-use hq_db::{RowCode, Tuple};
+use crate::storage::Parallelism;
+use hq_db::RowCode;
 use hq_monoid::TwoMonoid;
-use hq_query::Var;
 use std::fmt;
 use std::sync::Arc;
-
-/// A columnar relation executed shard-parallel: Rule 1 and Rule 2
-/// submit up to [`Parallelism::threads`] shard tasks to the
-/// persistent worker [`pool`](crate::pool), with results bit-identical
-/// to the sequential [`ColumnarRelation`] at every thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedColumnar<K> {
-    inner: ColumnarRelation<K>,
-    par: Parallelism,
-}
-
-impl<K> ShardedColumnar<K> {
-    /// Wraps a columnar relation with an execution parallelism degree.
-    pub fn new(inner: ColumnarRelation<K>, par: Parallelism) -> Self {
-        ShardedColumnar { inner, par }
-    }
-
-    /// The wrapped sequential relation.
-    pub fn into_inner(self) -> ColumnarRelation<K> {
-        self.inner
-    }
-
-    /// A view of the wrapped sequential relation.
-    pub fn inner(&self) -> &ColumnarRelation<K> {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped sequential relation (the serving
-    /// layer's scan patches and relabels go through this).
-    pub fn inner_mut(&mut self) -> &mut ColumnarRelation<K> {
-        &mut self.inner
-    }
-
-    /// The configured parallelism degree.
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
-    }
-}
 
 /// Number of shards for `len` rows: never more than the worker
 /// budget, and never so many that a shard falls below the
 /// [`Parallelism::min_shard_rows`] work-size floor (spawn/join costs
 /// would dominate the kernel work). `1` means run sequentially.
-fn shard_count(par: Parallelism, len: usize) -> usize {
+pub(super) fn shard_count(par: Parallelism, len: usize) -> usize {
     par.threads.min(len / par.min_shard_rows()).max(1)
 }
 
@@ -207,7 +172,7 @@ fn merge_sorted_runs(scratch: &[RowCode], nw: usize, left: &[u32], right: &[u32]
     let mut out = Vec::with_capacity(left.len() + right.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < left.len() && j < right.len() {
-        if columnar::scratch_row_cmp(scratch, nw, right[j], left[i]) == std::cmp::Ordering::Less {
+        if scratch_row_cmp(scratch, nw, right[j], left[i]) == std::cmp::Ordering::Less {
             out.push(right[j]);
             j += 1;
         } else {
@@ -225,13 +190,13 @@ fn merge_sorted_runs(scratch: &[RowCode], nw: usize, left: &[u32], right: &[u32]
 /// adjacent runs are pairwise-merged (also as pool tasks) until one
 /// remains. The result is *the* unique permutation ordered by scratch
 /// row with ties ascending by original index — exactly what the
-/// sequential `sort_by` in [`columnar::project_scratch`] produces — so
+/// sequential `sort_by` in [`super::project_scratch`] produces — so
 /// the argsort order, and everything folded from it, is independent of
 /// the chunk count and thread count.
 fn argsort_par(scratch: &Arc<Vec<RowCode>>, nw: usize, len: usize, chunks: usize) -> Vec<u32> {
     if chunks <= 1 || len < 2 {
         let mut order: Vec<u32> = (0..len as u32).collect();
-        order.sort_by(|&a, &b| columnar::scratch_row_cmp(scratch, nw, a, b));
+        order.sort_by(|&a, &b| scratch_row_cmp(scratch, nw, a, b));
         return order;
     }
     let bounds: Vec<usize> = (0..=chunks).map(|c| len * c / chunks).collect();
@@ -243,7 +208,7 @@ fn argsort_par(scratch: &Arc<Vec<RowCode>>, nw: usize, len: usize, chunks: usize
             let scratch = Arc::clone(scratch);
             Box::new(move || {
                 let mut order: Vec<u32> = (a..b).collect();
-                order.sort_by(|&x, &y| columnar::scratch_row_cmp(&scratch, nw, x, y));
+                order.sort_by(|&x, &y| scratch_row_cmp(&scratch, nw, x, y));
                 order
             }) as BatchTask<Vec<u32>>
         })
@@ -272,242 +237,141 @@ fn argsort_par(scratch: &Arc<Vec<RowCode>>, nw: usize, len: usize, chunks: usize
     runs.pop().unwrap_or_default()
 }
 
-impl<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static + 'static> Storage
-    for ShardedColumnar<K>
+/// Rule 1 over `shards` shards: drops column `pos` of `rel`, folding
+/// each ⊕-group inside exactly one shard.
+pub(super) fn project_out<M, K>(
+    rel: ColumnarRelation<K>,
+    monoid: &M,
+    pos: usize,
+    shards: usize,
+    stats: &mut EngineStats,
+) -> ColumnarRelation<K>
+where
+    M: TwoMonoid<Elem = K>,
+    K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static,
 {
-    type Ann = K;
-    /// Same code-row key as the wrapped sequential relation.
-    type Key = Vec<RowCode>;
-
-    fn build_slots(slots: Vec<OwnedSlot<K>>) -> Result<Vec<Self>, DuplicateRow> {
-        // `build_slots` carries no execution configuration, so slots
-        // built through it run sequentially; the engine's parallel
-        // paths construct sharded slots via `AnnotatedDb::into_sharded`
-        // instead, which carries the degree.
-        Ok(ColumnarRelation::build_slots(slots)?
-            .into_iter()
-            .map(|inner| ShardedColumnar::new(inner, Parallelism::default()))
-            .collect())
-    }
-
-    fn vars(&self) -> &[Var] {
-        Storage::vars(&self.inner)
-    }
-
-    fn support_size(&self) -> usize {
-        self.inner.support_size()
-    }
-
-    fn project_out<M: TwoMonoid<Elem = K>>(
-        self,
-        monoid: &M,
-        var: Var,
-        stats: &mut EngineStats,
-    ) -> Self {
-        let par = self.par;
-        let shards = shard_count(par, self.inner.len);
-        if shards <= 1 {
-            return ShardedColumnar::new(self.inner.project_out(monoid, var, stats), par);
-        }
-        let pos = self
-            .inner
-            .vars
-            .iter()
-            .position(|&v| v == var)
-            .expect("projected variable must be in the relation schema");
-        let ColumnarRelation {
-            mut vars,
-            width,
-            len,
-            dict,
-            keys,
-            anns,
-        } = self.inner;
-        vars.remove(pos);
-        let nw = width - 1;
-        let (out_keys, out_anns) = if pos == width - 1 {
-            // Contiguous-group fold: cut where the kept prefix changes.
-            let bounds = split_points(len, shards, |i| {
-                keys[(i - 1) * width..(i - 1) * width + nw] == keys[i * width..i * width + nw]
-            });
-            let chunks = split_by_bounds(anns, &bounds);
-            let keys = Arc::new(keys);
-            let tasks: Vec<BatchTask<ShardPart<K>>> = bounds
-                .windows(2)
-                .zip(chunks)
-                .map(|(w, chunk)| {
-                    let base = w[0];
-                    let keys = Arc::clone(&keys);
-                    let monoid = monoid.clone();
-                    Box::new(move || {
-                        let mut st = EngineStats::default();
-                        let (ok, oa) =
-                            columnar::fold_drop_last(&monoid, &keys, width, base, chunk, &mut st);
-                        (ok, oa, st)
-                    }) as BatchTask<ShardPart<K>>
-                })
-                .collect();
-            concat_shards(pool::run_batch(shards, tasks), stats)
-        } else {
-            // General column: parallel merge-sort argsort over the
-            // pool, then shard the sorted order on group boundaries.
-            // Workers clone annotations from the shared column — exact
-            // values, so results stay identical.
-            let scratch = Arc::new(columnar::project_scratch_matrix(&keys, width, pos));
-            let order = Arc::new(argsort_par(&scratch, nw, len, shards));
-            let bounds = split_points(len, shards, |i| {
-                let (a, b) = (order[i - 1] as usize, order[i] as usize);
-                scratch[a * nw..(a + 1) * nw] == scratch[b * nw..(b + 1) * nw]
-            });
-            let anns = Arc::new(anns);
-            let tasks: Vec<BatchTask<ShardPart<K>>> = bounds
-                .windows(2)
-                .map(|w| {
-                    let (a, b) = (w[0], w[1]);
-                    let scratch = Arc::clone(&scratch);
-                    let order = Arc::clone(&order);
-                    let anns = Arc::clone(&anns);
-                    let monoid = monoid.clone();
-                    Box::new(move || {
-                        let mut st = EngineStats::default();
-                        let mut take = |idx: usize| anns[idx].clone();
-                        let (ok, oa) = columnar::fold_sorted_groups(
-                            &monoid,
-                            &scratch,
-                            nw,
-                            &order[a..b],
-                            &mut take,
-                            &mut st,
-                        );
-                        (ok, oa, st)
-                    }) as BatchTask<ShardPart<K>>
-                })
-                .collect();
-            concat_shards(pool::run_batch(shards, tasks), stats)
-        };
-        let out_len = out_anns.len();
-        ShardedColumnar::new(
-            ColumnarRelation {
-                vars,
-                width: nw,
-                len: out_len,
-                dict,
-                keys: out_keys,
-                anns: out_anns,
-            },
-            par,
-        )
-    }
-
-    fn merge<M: TwoMonoid<Elem = K>>(
-        self,
-        monoid: &M,
-        right: Self,
-        stats: &mut EngineStats,
-    ) -> Self {
-        let par = self.par;
-        let shards = shard_count(par, self.inner.len.max(right.inner.len));
-        if shards <= 1 {
-            return ShardedColumnar::new(self.inner.merge(monoid, right.inner, stats), par);
-        }
-        let (left, rrel) = (self.inner, right.inner);
-        assert_eq!(
-            left.vars, rrel.vars,
-            "Rule 2 merges atoms with identical variable sets"
-        );
-        debug_assert_eq!(
-            *left.dict, *rrel.dict,
-            "merged relations must share one instance dictionary"
-        );
-        let (lb, rb) = merge_bounds(&left, &rrel, shards);
-        let (vars, width, dict) = (left.vars.clone(), left.width, Arc::clone(&left.dict));
-        let (left, rrel) = (Arc::new(left), Arc::new(rrel));
-        let tasks: Vec<BatchTask<ShardPart<K>>> = lb
+    let ColumnarRelation {
+        mut vars,
+        width,
+        len,
+        dict,
+        keys,
+        anns,
+    } = rel;
+    vars.remove(pos);
+    let nw = width - 1;
+    let (out_keys, out_anns) = if pos == width - 1 {
+        // Contiguous-group fold: cut where the kept prefix changes.
+        let bounds = split_points(len, shards, |i| {
+            keys[(i - 1) * width..(i - 1) * width + nw] == keys[i * width..i * width + nw]
+        });
+        let chunks = split_by_bounds(anns, &bounds);
+        let keys = Arc::new(keys);
+        let tasks: Vec<BatchTask<ShardPart<K>>> = bounds
             .windows(2)
-            .zip(rb.windows(2))
-            .map(|(lw, rw)| {
-                let (li, ri) = (lw[0]..lw[1], rw[0]..rw[1]);
-                let left = Arc::clone(&left);
-                let rrel = Arc::clone(&rrel);
+            .zip(chunks)
+            .map(|(w, chunk)| {
+                let base = w[0];
+                let keys = Arc::clone(&keys);
                 let monoid = monoid.clone();
                 Box::new(move || {
                     let mut st = EngineStats::default();
-                    let (ok, oa) = columnar::merge_ranges(&monoid, &left, &rrel, li, ri, &mut st);
+                    let (ok, oa) = fold_drop_last(&monoid, &keys, width, base, chunk, &mut st);
                     (ok, oa, st)
                 }) as BatchTask<ShardPart<K>>
             })
             .collect();
-        let (out_keys, out_anns) = concat_shards(pool::run_batch(shards, tasks), stats);
-        let len = out_anns.len();
-        ShardedColumnar::new(
-            ColumnarRelation {
-                vars,
-                width,
-                len,
-                dict,
-                keys: out_keys,
-                anns: out_anns,
-            },
-            par,
-        )
+        concat_shards(pool::run_batch(shards, tasks), stats)
+    } else {
+        // General column: parallel merge-sort argsort over the pool,
+        // then shard the sorted order on group boundaries. Workers
+        // clone annotations from the shared column — exact values, so
+        // results stay identical.
+        let scratch = Arc::new(project_scratch_matrix(&keys, width, pos));
+        let order = Arc::new(argsort_par(&scratch, nw, len, shards));
+        let bounds = split_points(len, shards, |i| {
+            let (a, b) = (order[i - 1] as usize, order[i] as usize);
+            scratch[a * nw..(a + 1) * nw] == scratch[b * nw..(b + 1) * nw]
+        });
+        let anns = Arc::new(anns);
+        let tasks: Vec<BatchTask<ShardPart<K>>> = bounds
+            .windows(2)
+            .map(|w| {
+                let (a, b) = (w[0], w[1]);
+                let scratch = Arc::clone(&scratch);
+                let order = Arc::clone(&order);
+                let anns = Arc::clone(&anns);
+                let monoid = monoid.clone();
+                Box::new(move || {
+                    let mut st = EngineStats::default();
+                    let mut take = |idx: usize| anns[idx].clone();
+                    let (ok, oa) =
+                        fold_sorted_groups(&monoid, &scratch, nw, &order[a..b], &mut take, &mut st);
+                    (ok, oa, st)
+                }) as BatchTask<ShardPart<K>>
+            })
+            .collect();
+        concat_shards(pool::run_batch(shards, tasks), stats)
+    };
+    ColumnarRelation {
+        vars,
+        width: nw,
+        len: out_anns.len(),
+        dict,
+        keys: out_keys,
+        anns: out_anns,
     }
+}
 
-    fn nullary_value<M: TwoMonoid<Elem = K>>(&self, monoid: &M) -> K {
-        self.inner.nullary_value(monoid)
-    }
-
-    fn rows(&self) -> Vec<(Tuple, K)> {
-        self.inner.rows()
-    }
-
-    fn get(&self, key: &Tuple) -> Option<K> {
-        self.inner.get(key)
-    }
-
-    fn set(&mut self, key: &Tuple, value: Option<K>) {
-        self.inner.set(key, value);
-    }
-
-    fn group_rows(&self, keep: &[usize], group: &Tuple) -> Vec<K> {
-        // The gather is a binary-searched slice of the shared sorted
-        // matrix (the same boundary structure the shard cuts use), and
-        // the ⊕-fold a single group feeds must stay *sequential*: the
-        // determinism guarantee fixes the fold sequence, so splitting
-        // one group across workers would change the ⊕ association
-        // order and op counts. Dirty refolds therefore run on the
-        // sequential kernel regardless of the parallelism degree.
-        self.inner.group_rows(keep, group)
-    }
-
-    fn key_of(&self, key: &Tuple) -> Option<Vec<RowCode>> {
-        self.inner.key_of(key)
-    }
-
-    fn project_key(key: &Vec<RowCode>, keep: &[usize]) -> Vec<RowCode> {
-        ColumnarRelation::<K>::project_key(key, keep)
-    }
-
-    fn get_key(&self, key: &Vec<RowCode>) -> Option<K> {
-        self.inner.get_key(key)
-    }
-
-    fn set_key(&mut self, key: &Vec<RowCode>, value: Option<K>) {
-        self.inner.set_key(key, value);
-    }
-
-    fn group_rows_key(&self, keep: &[usize], group: &Vec<RowCode>) -> Vec<K> {
-        self.inner.group_rows_key(keep, group)
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.inner.storage_bytes()
+/// Rule 2 over `shards` co-partitioned key ranges of both sides (the
+/// caller has checked that the schemas and dictionaries agree).
+pub(super) fn merge<M, K>(
+    left: ColumnarRelation<K>,
+    monoid: &M,
+    right: ColumnarRelation<K>,
+    shards: usize,
+    stats: &mut EngineStats,
+) -> ColumnarRelation<K>
+where
+    M: TwoMonoid<Elem = K>,
+    K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static,
+{
+    let (lb, rb) = merge_bounds(&left, &right, shards);
+    let (vars, width, dict) = (left.vars.clone(), left.width, Arc::clone(&left.dict));
+    let (left, right) = (Arc::new(left), Arc::new(right));
+    let tasks: Vec<BatchTask<ShardPart<K>>> = lb
+        .windows(2)
+        .zip(rb.windows(2))
+        .map(|(lw, rw)| {
+            let (li, ri) = (lw[0]..lw[1], rw[0]..rw[1]);
+            let left = Arc::clone(&left);
+            let right = Arc::clone(&right);
+            let monoid = monoid.clone();
+            Box::new(move || {
+                let mut st = EngineStats::default();
+                let (ok, oa) = merge_ranges(&monoid, &left, &right, li, ri, &mut st);
+                (ok, oa, st)
+            }) as BatchTask<ShardPart<K>>
+        })
+        .collect();
+    let (out_keys, out_anns) = concat_shards(pool::run_batch(shards, tasks), stats);
+    ColumnarRelation {
+        vars,
+        width,
+        len: out_anns.len(),
+        dict,
+        keys: out_keys,
+        anns: out_anns,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::{OwnedSlot, Storage};
+    use hq_db::Tuple;
     use hq_monoid::{BagMaxMonoid, CountMonoid, ProbMonoid, SatCountMonoid};
+    use hq_query::Var;
 
     fn columnar_slots<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static>(
         slots: Vec<OwnedSlot<K>>,
@@ -515,12 +379,13 @@ mod tests {
         ColumnarRelation::build_slots(slots).unwrap()
     }
 
-    fn sharded<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static>(
-        rel: &ColumnarRelation<K>,
-        threads: usize,
-    ) -> ShardedColumnar<K> {
-        ShardedColumnar::new(rel.clone(), Parallelism::fine_grained(threads))
+    /// The degree a test runs `threads`-way: fine-grained, so even the
+    /// small test relations take the shard kernels.
+    fn sharded(threads: usize) -> Parallelism {
+        Parallelism::fine_grained(threads)
     }
+
+    const SEQ: Parallelism = Parallelism::sequential();
 
     /// A 2-column relation with repeated leading codes so prefix
     /// groups actually span candidate cut points.
@@ -560,11 +425,13 @@ mod tests {
             let mut seq_stats = EngineStats::default();
             let seq = rel
                 .clone()
-                .project_out(&ProbMonoid, Var(var), &mut seq_stats);
+                .project_out(&ProbMonoid, Var(var), SEQ, &mut seq_stats);
             for threads in [1usize, 2, 3, 5, 16] {
                 let mut st = EngineStats::default();
-                let got = sharded(&rel, threads).project_out(&ProbMonoid, Var(var), &mut st);
-                assert_eq!(got.inner, seq, "var {var} threads {threads}");
+                let got = rel
+                    .clone()
+                    .project_out(&ProbMonoid, Var(var), sharded(threads), &mut st);
+                assert_eq!(got, seq, "var {var} threads {threads}");
                 assert_eq!(st, seq_stats, "var {var} threads {threads}");
             }
         }
@@ -585,7 +452,9 @@ mod tests {
         // Annihilating (counting) and non-annihilating (bag-max, which
         // 0-fills one-sided rows) monoids.
         let mut seq_stats = EngineStats::default();
-        let seq = l.clone().merge(&CountMonoid, r.clone(), &mut seq_stats);
+        let seq = l
+            .clone()
+            .merge(&CountMonoid, r.clone(), SEQ, &mut seq_stats);
         let bm = BagMaxMonoid::new(3);
         let to_bm = |rel: &ColumnarRelation<u64>| -> Vec<(Tuple, _)> {
             Storage::rows(rel)
@@ -599,15 +468,17 @@ mod tests {
         let rb = bm_slots.pop().unwrap();
         let lb = bm_slots.pop().unwrap();
         let mut seq_bm_stats = EngineStats::default();
-        let seq_bm = lb.clone().merge(&bm, rb.clone(), &mut seq_bm_stats);
+        let seq_bm = lb.clone().merge(&bm, rb.clone(), SEQ, &mut seq_bm_stats);
         for threads in [1usize, 2, 3, 4, 7, 16] {
             let mut st = EngineStats::default();
-            let got = sharded(&l, threads).merge(&CountMonoid, sharded(&r, threads), &mut st);
-            assert_eq!(got.inner, seq, "threads {threads}");
+            let got = l
+                .clone()
+                .merge(&CountMonoid, r.clone(), sharded(threads), &mut st);
+            assert_eq!(got, seq, "threads {threads}");
             assert_eq!(st, seq_stats, "threads {threads}");
             let mut st = EngineStats::default();
-            let got = sharded(&lb, threads).merge(&bm, sharded(&rb, threads), &mut st);
-            assert_eq!(got.inner, seq_bm, "bagmax threads {threads}");
+            let got = lb.clone().merge(&bm, rb.clone(), sharded(threads), &mut st);
+            assert_eq!(got, seq_bm, "bagmax threads {threads}");
             assert_eq!(st, seq_bm_stats, "bagmax threads {threads}");
         }
     }
@@ -626,12 +497,12 @@ mod tests {
         let slots = columnar_slots(vec![(vars.clone(), left_rows), (vars, right_rows)]);
         let (l, r) = (slots[0].clone(), slots[1].clone());
         let mut seq_stats = EngineStats::default();
-        let seq = l.clone().merge(&m, r.clone(), &mut seq_stats);
+        let seq = l.clone().merge(&m, r.clone(), SEQ, &mut seq_stats);
         assert_eq!(seq.support_size(), 24, "all 0-filled rows survive");
         for threads in [2usize, 3, 8] {
             let mut st = EngineStats::default();
-            let got = sharded(&l, threads).merge(&m, sharded(&r, threads), &mut st);
-            assert_eq!(got.inner, seq, "threads {threads}");
+            let got = l.clone().merge(&m, r.clone(), sharded(threads), &mut st);
+            assert_eq!(got, seq, "threads {threads}");
             assert_eq!(st, seq_stats, "threads {threads}");
         }
     }
@@ -642,7 +513,7 @@ mod tests {
             .pop()
             .unwrap();
         let mut st = EngineStats::default();
-        let out = sharded(&rel, 8).project_out(&CountMonoid, Var(3), &mut st);
+        let out = rel.project_out(&CountMonoid, Var(3), sharded(8), &mut st);
         assert_eq!(out.support_size(), 0);
         assert_eq!(out.nullary_value(&CountMonoid), 0);
         // Projecting a 1-column relation to nullary: one global group.
@@ -653,7 +524,7 @@ mod tests {
         .pop()
         .unwrap();
         let mut st = EngineStats::default();
-        let out = sharded(&rel, 4).project_out(&CountMonoid, Var(0), &mut st);
+        let out = rel.project_out(&CountMonoid, Var(0), sharded(4), &mut st);
         assert_eq!(out.nullary_value(&CountMonoid), 45);
         assert_eq!(st.add_ops, 8);
     }

@@ -31,7 +31,7 @@
 //! differential suites pin down.
 
 use super::columnar::ColumnarRelation;
-use super::{DuplicateRow, OwnedSlot, Storage};
+use super::{DuplicateRow, OwnedSlot, Parallelism, Storage};
 use crate::engine::EngineStats;
 use hq_db::{RowCode, Tuple, ValueDict};
 use hq_monoid::TwoMonoid;
@@ -1492,6 +1492,7 @@ where
         self,
         monoid: &M,
         var: Var,
+        _par: Parallelism,
         stats: &mut EngineStats,
     ) -> Self {
         let pos = self
@@ -1520,6 +1521,7 @@ where
         self,
         monoid: &M,
         right: Self,
+        _par: Parallelism,
         stats: &mut EngineStats,
     ) -> Self {
         assert_eq!(
@@ -2017,8 +2019,8 @@ mod tests {
             let d = dense(&[0, 1, 2], &rows_ref);
             let mut sc = EngineStats::default();
             let mut sd = EngineStats::default();
-            let pc = c.project_out(&CountMonoid, Var(var), &mut sc);
-            let pd = d.project_out(&CountMonoid, Var(var), &mut sd);
+            let pc = c.project_out(&CountMonoid, Var(var), Parallelism::default(), &mut sc);
+            let pd = d.project_out(&CountMonoid, Var(var), Parallelism::default(), &mut sd);
             assert_eq!(pc.to_columnar(), pd, "var {var}");
             assert_eq!(sc.add_ops, sd.add_ops, "var {var}");
         }
@@ -2046,8 +2048,8 @@ mod tests {
         let (dr, dl) = (ds.pop().unwrap(), ds.pop().unwrap());
         let mut sc = EngineStats::default();
         let mut sd = EngineStats::default();
-        let mc = cl.merge(&CountMonoid, cr, &mut sc);
-        let md = dl.merge(&CountMonoid, dr, &mut sd);
+        let mc = cl.merge(&CountMonoid, cr, Parallelism::default(), &mut sc);
+        let md = dl.merge(&CountMonoid, dr, Parallelism::default(), &mut sd);
         assert_eq!(mc.to_columnar(), md);
         assert_eq!(sc.mul_ops, sd.mul_ops);
         assert_eq!(mc.support_size(), 1000);
@@ -2083,7 +2085,7 @@ mod tests {
     fn nullary_projection_and_value() {
         let r = rel(&[3], &[(&[1], 2), (&[2], 3), (&[9], 4)]);
         let mut stats = EngineStats::default();
-        let out = r.project_out(&CountMonoid, Var(3), &mut stats);
+        let out = r.project_out(&CountMonoid, Var(3), Parallelism::default(), &mut stats);
         assert_eq!(out.support_size(), 1);
         assert_eq!(out.nullary_value(&CountMonoid), 9);
         assert_eq!(stats.add_ops, 2);
@@ -2103,7 +2105,7 @@ mod tests {
         .pop()
         .unwrap();
         let mut stats = EngineStats::default();
-        let out = r.project_out(&ProbMonoid, Var(1), &mut stats);
+        let out = r.project_out(&ProbMonoid, Var(1), Parallelism::default(), &mut stats);
         assert_eq!(out.support_size(), 1);
     }
 

@@ -8,7 +8,7 @@
 //! columnar backend fixes: every projection allocates a fresh boxed
 //! key tuple and every insert pays an `O(log n)` tree walk.
 
-use super::{DuplicateRow, OwnedSlot, Storage};
+use super::{DuplicateRow, OwnedSlot, Parallelism, Storage};
 use crate::engine::EngineStats;
 use hq_db::{Tuple, Value};
 use hq_monoid::TwoMonoid;
@@ -84,6 +84,7 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage for
         self,
         monoid: &M,
         var: Var,
+        _par: Parallelism,
         stats: &mut EngineStats,
     ) -> Self {
         let pos = self
@@ -118,6 +119,7 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage for
         self,
         monoid: &M,
         mut right: Self,
+        _par: Parallelism,
         stats: &mut EngineStats,
     ) -> Self {
         assert_eq!(
@@ -267,7 +269,7 @@ mod tests {
         // Group 1 folds to 0.5 ⊕ -0.5: 1-(1-0.5)(1+0.5) = 0.25... use
         // the raw values: this is not a probability instance, we only
         // care about the pruning predicate. Project var 1 out.
-        let out = rel.project_out(&ProbMonoid, Var(1), &mut stats);
+        let out = rel.project_out(&ProbMonoid, Var(1), Parallelism::default(), &mut stats);
         // NaN row survives (never equal to zero), group 1 folds to a
         // non-zero value.
         assert_eq!(out.support_size(), 2);
@@ -286,7 +288,7 @@ mod tests {
         let r = slots.pop().unwrap();
         let l = slots.pop().unwrap();
         let mut stats = EngineStats::default();
-        let out = l.merge(&m, r, &mut stats);
+        let out = l.merge(&m, r, Parallelism::default(), &mut stats);
         assert_eq!(out.support_size(), 2, "0-filled rows must survive");
         assert_eq!(stats.mul_ops, 2);
     }

@@ -14,18 +14,20 @@
 //!   row-major matrix of dictionary codes plus a parallel annotation
 //!   column. Rule 1 is a single-pass grouped fold, Rule 2 a linear
 //!   sort-merge outer join; no per-tuple allocation on the hot path.
-//! * [`ShardedColumnar`] — the columnar backend in parallel execution
-//!   mode: the sorted matrices are cut into contiguous shards on
-//!   key/group boundaries and each rule runs the sequential kernels
-//!   per shard on the persistent worker [`pool`](crate::pool),
-//!   recombining in fixed shard order (degree set by
-//!   [`Parallelism`]).
+//!   Both rules take the run's [`Parallelism`] degree: when it yields
+//!   more than one shard, the sorted matrices are cut into contiguous
+//!   shards on key/group boundaries and each shard runs the sequential
+//!   kernel on the persistent worker [`pool`](crate::pool),
+//!   recombining in fixed shard order.
+//! * [`CompressedColumnar`] — the columnar matrices block-compressed,
+//!   with streaming sequential kernels.
 //!
 //! All backends — and every thread count — perform **the same ⊕/⊗
 //! applications in the same order**, so results (including
 //! floating-point ones) are bit-identical and `EngineStats` agree
 //! exactly — the property the `differential_backends` and
-//! `differential_parallel` suites pin down.
+//! `differential_parallel` suites pin down. [`Exec`] bundles the two
+//! run-time choices, layout and degree, that every front end takes.
 //!
 //! [`EncodedDb`] additionally caches a database's dictionary encoding
 //! so repeated queries over one database skip the columnar build's
@@ -35,13 +37,11 @@ mod columnar;
 mod compressed;
 mod encoded;
 mod map;
-mod sharded;
 
 pub use columnar::{BorrowedSlot, ColumnarRelation};
 pub use compressed::{CompressedAnn, CompressedBuilder, CompressedColumnar};
 pub use encoded::{EncodedDb, RefreshOutcome};
 pub use map::MapRelation;
-pub use sharded::ShardedColumnar;
 
 use crate::engine::EngineStats;
 use hq_db::Tuple;
@@ -96,14 +96,15 @@ impl FromStr for Backend {
 /// The degree of intra-query parallelism for one run: how many worker
 /// threads each Rule 1 fold / Rule 2 merge may fan out over.
 ///
-/// Parallelism is orthogonal to the [`Backend`] layout choice: today
-/// only the columnar layout shards (see [`ShardedColumnar`]); the
-/// ordered-map oracle ignores the knob. `threads == 1` is exactly the
-/// sequential engine, and every thread count produces **bit-identical
-/// results and identical [`EngineStats`]** — shard boundaries are
-/// chosen on key boundaries and shard outputs (and per-shard op
-/// counts) are concatenated/summed in fixed shard order, so the global
-/// ⊕/⊗ application sequence never depends on scheduling.
+/// Parallelism is orthogonal to the [`Backend`] layout choice and is
+/// passed to every rule application ([`Storage::project_out`],
+/// [`Storage::merge`]): the columnar layout shards, the ordered-map
+/// and compressed layouts ignore the knob. `threads == 1` is exactly
+/// the sequential engine, and every thread count produces
+/// **bit-identical results and identical [`EngineStats`]** — shard
+/// boundaries are chosen on key boundaries and shard outputs (and
+/// per-shard op counts) are concatenated/summed in fixed shard order,
+/// so the global ⊕/⊗ application sequence never depends on scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     /// Number of worker threads (≥ 1).
@@ -212,6 +213,43 @@ impl FromStr for Parallelism {
     }
 }
 
+/// How one run executes: the storage layout and the degree of
+/// intra-query parallelism. The engine and the PQE, BSM and Shapley
+/// front ends take it in their `*_on` entry points
+/// ([`crate::engine::evaluate_on`], [`crate::pqe::probability_on`],
+/// [`crate::bsm::maximize_on`], …); the fixpoint entry points take a
+/// bare [`Backend`], as their kernel is sequential.
+///
+/// The default is the ordered-map oracle, run sequentially — what the
+/// plain entry points use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Exec {
+    /// The physical layout of the annotated relations.
+    pub backend: Backend,
+    /// The degree each rule application may fan out over.
+    pub par: Parallelism,
+}
+
+impl Exec {
+    /// `backend` at degree `par`.
+    pub fn new(backend: Backend, par: Parallelism) -> Self {
+        Exec { backend, par }
+    }
+}
+
+impl Default for Exec {
+    fn default() -> Self {
+        Exec::new(Backend::Map, Parallelism::sequential())
+    }
+}
+
+impl From<Backend> for Exec {
+    /// `backend`, run sequentially.
+    fn from(backend: Backend) -> Self {
+        Exec::new(backend, Parallelism::sequential())
+    }
+}
+
 /// A duplicate key found while building storage: the slot index and
 /// the offending key (in sorted-var order).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,14 +271,16 @@ pub type OwnedSlot<K> = (Vec<Var>, Vec<(Tuple, K)>);
 /// variable-id order, and must apply ⊕/⊗ in ascending key order so that
 /// all backends produce bit-identical results.
 ///
-/// The carrier is `Send + 'static` and monoids clone into `'static`
-/// task closures, so that sharded backends ([`ShardedColumnar`]) can
-/// fan Rule 1/Rule 2 out over the persistent worker [`crate::pool`].
+/// Both rules take the run's [`Parallelism`] degree. The carrier is
+/// `Send + 'static` and monoids clone into `'static` task closures, so
+/// that a backend (the columnar layout) can fan Rule 1/Rule 2 out over
+/// the persistent worker [`crate::pool`]; a backend may also ignore
+/// the degree and run sequentially.
 /// Every carrier and monoid in the workspace is a plain owned value
 /// (no interior mutability, no borrows), so these bounds cost nothing.
 pub trait Storage: Clone + fmt::Debug + Sized {
     /// The annotation carrier `K`.
-    type Ann: Clone + PartialEq + fmt::Debug + Send + Sync + 'static + 'static;
+    type Ann: Clone + PartialEq + fmt::Debug + Send + Sync + 'static;
 
     /// The backend-native row key of the serving sessions' delta
     /// patches: [`Tuple`] on the ordered-map oracle, a dictionary code
@@ -276,7 +316,8 @@ pub trait Storage: Clone + fmt::Debug + Sized {
     fn support_size(&self) -> usize;
 
     /// Rule 1: `R'(x̄') = ⊕_y R(x̄', y)` over the support, pruning
-    /// zeros. Counts one ⊕ per combine into an existing group.
+    /// zeros. Counts one ⊕ per combine into an existing group. `par`
+    /// bounds the fan-out; the result is identical at every degree.
     ///
     /// # Panics
     /// Panics if `var` is not in the schema.
@@ -284,6 +325,7 @@ pub trait Storage: Clone + fmt::Debug + Sized {
         self,
         monoid: &M,
         var: Var,
+        par: Parallelism,
         stats: &mut EngineStats,
     ) -> Self;
 
@@ -291,7 +333,8 @@ pub trait Storage: Clone + fmt::Debug + Sized {
     /// 0-fill for one-sided rows. When the monoid is
     /// [annihilating](TwoMonoid::annihilating), one-sided rows are
     /// skipped outright (result `0`, pruned) without counting a ⊗ —
-    /// the Theorem 6.7 accounting for semirings.
+    /// the Theorem 6.7 accounting for semirings. `par` bounds the
+    /// fan-out; the result is identical at every degree.
     ///
     /// # Panics
     /// Panics if the two schemas differ.
@@ -299,6 +342,7 @@ pub trait Storage: Clone + fmt::Debug + Sized {
         self,
         monoid: &M,
         right: Self,
+        par: Parallelism,
         stats: &mut EngineStats,
     ) -> Self;
 
@@ -426,8 +470,8 @@ mod tests {
             let (m, c) = both(&[0, 1], rows.clone());
             let mut sm = EngineStats::default();
             let mut sc = EngineStats::default();
-            let pm = m.project_out(&CountMonoid, Var(var), &mut sm);
-            let pc = c.project_out(&CountMonoid, Var(var), &mut sc);
+            let pm = m.project_out(&CountMonoid, Var(var), Parallelism::default(), &mut sm);
+            let pc = c.project_out(&CountMonoid, Var(var), Parallelism::default(), &mut sc);
             assert_eq!(pm.rows(), pc.rows(), "var {var}");
             assert_eq!(sm.add_ops, sc.add_ops);
         }
@@ -449,8 +493,8 @@ mod tests {
         let mut sc = EngineStats::default();
         let [lm, rm]: [MapRelation<u64>; 2] = slots_m.try_into().unwrap();
         let [lc, rc]: [ColumnarRelation<u64>; 2] = slots_c.try_into().unwrap();
-        let mm = lm.merge(&CountMonoid, rm, &mut sm);
-        let mc = lc.merge(&CountMonoid, rc, &mut sc);
+        let mm = lm.merge(&CountMonoid, rm, Parallelism::default(), &mut sm);
+        let mc = lc.merge(&CountMonoid, rc, Parallelism::default(), &mut sc);
         assert_eq!(mm.rows(), mc.rows());
         assert_eq!(sm.mul_ops, sc.mul_ops);
         // Counting is annihilating: only the both-sided row costs a ⊗.

@@ -61,8 +61,8 @@ fn main() {
     // 4. Storage backends: the same engine runs over the ordered-map
     // oracle layout or the columnar fast path — bit-identical answers.
     use hierarchical_queries::unify::{pqe, Backend};
-    let p_map = pqe::probability_on(Backend::Map, &q, &interner, &tid).unwrap();
-    let p_col = pqe::probability_on(Backend::Columnar, &q, &interner, &tid).unwrap();
+    let (p_map, _) = pqe::probability_on(Backend::Map.into(), &q, &interner, &tid).unwrap();
+    let (p_col, _) = pqe::probability_on(Backend::Columnar.into(), &q, &interner, &tid).unwrap();
     assert_eq!(p_map.to_bits(), p_col.to_bits());
     println!("Backends: map {p_map} == columnar {p_col} (bit-identical)");
 }

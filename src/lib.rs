@@ -65,6 +65,7 @@ pub mod prelude {
         is_hierarchical, parse_query, plan, q_hierarchical, q_non_hierarchical, Query,
     };
     pub use hq_unify::{
-        bsm, evaluate, evaluate_on, pqe, provenance_tree, shapley, Backend, EngineStats, UnifyError,
+        bsm, evaluate, evaluate_on, pqe, provenance_tree, shapley, Backend, EngineStats, Exec,
+        UnifyError,
     };
 }

@@ -6,7 +6,7 @@
 //! library's own generators.
 
 use hq_db::generate::{fill_relation, rng, ColumnDist};
-use hq_db::{Database, Interner};
+use hq_db::{Database, Fact, Interner, Sym, Tuple};
 use hq_query::gen::random_hierarchical;
 use hq_query::Query;
 use rand::rngs::StdRng;
@@ -60,4 +60,11 @@ pub fn cap_facts(db: &Database, max: usize) -> Database {
         out.insert(f);
     }
     out
+}
+
+/// Borrows owned `(fact, annotation)` pairs as the engine's
+/// `(relation, tuple, annotation)` rows (`hq_unify::evaluate_on`).
+#[allow(dead_code)]
+pub fn rows<K: Clone>(facts: &[(Fact, K)]) -> impl Iterator<Item = (Sym, &Tuple, K)> {
+    facts.iter().map(|(f, k)| (f.rel, &f.tuple, k.clone()))
 }

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::random_instance;
+use common::{random_instance, rows};
 use hq_db::Fact;
 use hq_monoid::{BagMaxMonoid, CountMonoid, ProbMonoid, SatCountMonoid, TwoMonoid};
 use hq_unify::{
@@ -33,14 +33,14 @@ proptest! {
                 (f, p)
             })
             .collect();
-        let (pm, sm) = pqe::probability_with_stats_on(
-            Backend::Map, &inst.query, &inst.interner, &tid,
+        let (pm, sm) = pqe::probability_on(
+            Backend::Map.into(), &inst.query, &inst.interner, &tid,
         ).unwrap();
-        let (pc, sc) = pqe::probability_with_stats_on(
-            Backend::Columnar, &inst.query, &inst.interner, &tid,
+        let (pc, sc) = pqe::probability_on(
+            Backend::Columnar.into(), &inst.query, &inst.interner, &tid,
         ).unwrap();
-        let (pz, sz) = pqe::probability_with_stats_on(
-            Backend::Compressed, &inst.query, &inst.interner, &tid,
+        let (pz, sz) = pqe::probability_on(
+            Backend::Compressed.into(), &inst.query, &inst.interner, &tid,
         ).unwrap();
         prop_assert_eq!(pm.to_bits(), pc.to_bits(), "map {} vs columnar {}", pm, pc);
         prop_assert_eq!(pm.to_bits(), pz.to_bits(), "map {} vs compressed {}", pm, pz);
@@ -67,13 +67,13 @@ proptest! {
             })
             .collect();
         let (vm, sm) = evaluate_on(
-            Backend::Map, &CountMonoid, &inst.query, &inst.interner, facts.clone(),
+            Backend::Map.into(), &CountMonoid, &inst.query, &inst.interner, rows(&facts),
         ).unwrap();
         let (vc, sc) = evaluate_on(
-            Backend::Columnar, &CountMonoid, &inst.query, &inst.interner, facts.clone(),
+            Backend::Columnar.into(), &CountMonoid, &inst.query, &inst.interner, rows(&facts),
         ).unwrap();
         let (vz, sz) = evaluate_on(
-            Backend::Compressed, &CountMonoid, &inst.query, &inst.interner, facts,
+            Backend::Compressed.into(), &CountMonoid, &inst.query, &inst.interner, rows(&facts),
         ).unwrap();
         prop_assert_eq!(vm, vc, "{}", inst.query);
         prop_assert_eq!(vm, vz, "compressed diverged on {}", inst.query);
@@ -103,13 +103,13 @@ proptest! {
         }
         let theta = inst.rng.gen_range(0usize..=4);
         let map = bsm::maximize_on(
-            Backend::Map, &inst.query, &inst.interner, &d, &d_r, theta,
+            Backend::Map.into(), &inst.query, &inst.interner, &d, &d_r, theta,
         ).unwrap();
         let col = bsm::maximize_on(
-            Backend::Columnar, &inst.query, &inst.interner, &d, &d_r, theta,
+            Backend::Columnar.into(), &inst.query, &inst.interner, &d, &d_r, theta,
         ).unwrap();
         let cmp = bsm::maximize_on(
-            Backend::Compressed, &inst.query, &inst.interner, &d, &d_r, theta,
+            Backend::Compressed.into(), &inst.query, &inst.interner, &d, &d_r, theta,
         ).unwrap();
         prop_assert_eq!(&map.curve, &col.curve, "{} θ={}", inst.query, theta);
         prop_assert_eq!(&map.curve, &cmp.curve, "compressed: {} θ={}", inst.query, theta);
@@ -137,13 +137,13 @@ proptest! {
             })
             .collect();
         let (vm, sm) = evaluate_on(
-            Backend::Map, &monoid, &inst.query, &inst.interner, annotated.clone(),
+            Backend::Map.into(), &monoid, &inst.query, &inst.interner, rows(&annotated),
         ).unwrap();
         let (vc, sc) = evaluate_on(
-            Backend::Columnar, &monoid, &inst.query, &inst.interner, annotated.clone(),
+            Backend::Columnar.into(), &monoid, &inst.query, &inst.interner, rows(&annotated),
         ).unwrap();
         let (vz, sz) = evaluate_on(
-            Backend::Compressed, &monoid, &inst.query, &inst.interner, annotated,
+            Backend::Compressed.into(), &monoid, &inst.query, &inst.interner, rows(&annotated),
         ).unwrap();
         prop_assert_eq!(&vm, &vc, "{}", inst.query);
         prop_assert_eq!(&vm, &vz, "compressed diverged on {}", inst.query);
@@ -222,13 +222,13 @@ proptest! {
             })
             .collect();
         let (_, sm) = evaluate_on(
-            Backend::Map, &m, &inst.query, &inst.interner, annotated.clone(),
+            Backend::Map.into(), &m, &inst.query, &inst.interner, rows(&annotated),
         ).unwrap();
         let (_, sc) = evaluate_on(
-            Backend::Columnar, &m, &inst.query, &inst.interner, annotated.clone(),
+            Backend::Columnar.into(), &m, &inst.query, &inst.interner, rows(&annotated),
         ).unwrap();
         let (_, sz) = evaluate_on(
-            Backend::Compressed, &m, &inst.query, &inst.interner, annotated,
+            Backend::Compressed.into(), &m, &inst.query, &inst.interner, rows(&annotated),
         ).unwrap();
         prop_assert_eq!(&sm.support_sizes, &sc.support_sizes, "{}", inst.query);
         prop_assert_eq!(&sm.support_sizes, &sz.support_sizes, "{}", inst.query);
@@ -257,9 +257,8 @@ fn all_distinct_columns_stay_bit_identical() {
         tid.push((Fact::new(e, Tuple::ints(&[i, n + i])), p_e));
         tid.push((Fact::new(f, Tuple::ints(&[n + i, 2 * n + i])), p_f));
     }
-    let (pm, sm) = pqe::probability_with_stats_on(Backend::Map, &q, &interner, &tid).unwrap();
-    let (pz, sz) =
-        pqe::probability_with_stats_on(Backend::Compressed, &q, &interner, &tid).unwrap();
+    let (pm, sm) = pqe::probability_on(Backend::Map.into(), &q, &interner, &tid).unwrap();
+    let (pz, sz) = pqe::probability_on(Backend::Compressed.into(), &q, &interner, &tid).unwrap();
     assert_eq!(pm.to_bits(), pz.to_bits(), "map {pm} vs compressed {pz}");
     assert_eq!(sm, sz);
 }

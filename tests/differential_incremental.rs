@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::random_instance;
+use common::{random_instance, rows};
 use hq_arith::Natural;
 use hq_baselines::{bsm_bf, shapley_bf, worlds};
 use hq_db::{Database, Fact, Tuple};
@@ -30,7 +30,7 @@ use hq_query::Query;
 use hq_unify::engine::EngineStats;
 use hq_unify::{
     evaluate_on, Backend, ColumnarRelation, CompressedAnn, CompressedColumnar, MapRelation,
-    Parallelism, ServingSession, ShardedColumnar,
+    Parallelism, ServingSession,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -55,7 +55,7 @@ where
     map: ServingSession<M, MapRelation<M::Elem>>,
     columnar: ServingSession<M, ColumnarRelation<M::Elem>>,
     compressed: ServingSession<M, CompressedColumnar<M::Elem>>,
-    sharded: Vec<ServingSession<M, ShardedColumnar<M::Elem>>>,
+    sharded: Vec<ServingSession<M, ColumnarRelation<M::Elem>>>,
 }
 
 impl<M> Fleet<M>
@@ -218,7 +218,7 @@ proptest! {
             let list: Vec<(Fact, f64)> = current.clone().into_iter().collect();
             for backend in Backend::ALL {
                 let (fresh, fresh_stats) =
-                    evaluate_on(backend, &ProbMonoid, &inst.query, &inst.interner, list.clone())
+                    evaluate_on(backend.into(), &ProbMonoid, &inst.query, &inst.interner, rows(&list))
                         .unwrap();
                 prop_assert_eq!(
                     got.to_bits(), fresh.to_bits(),
@@ -268,7 +268,7 @@ proptest! {
             let (got, stats) = fleet.apply(&inst.interner, &runs);
             let list: Vec<(Fact, u64)> = current.clone().into_iter().collect();
             let (fresh, fresh_stats) =
-                evaluate_on(Backend::Columnar, &CountMonoid, &inst.query, &inst.interner, list)
+                evaluate_on(Backend::Columnar.into(), &CountMonoid, &inst.query, &inst.interner, rows(&list))
                     .unwrap();
             prop_assert_eq!(got, fresh, "on {}", inst.query);
             for st in &stats {
@@ -312,7 +312,7 @@ proptest! {
             let (got, stats) = fleet.apply(&inst.interner, &runs);
             let list: Vec<(Fact, _)> = current.clone().into_iter().collect();
             let (fresh, fresh_stats) =
-                evaluate_on(Backend::Columnar, &m, &inst.query, &inst.interner, list).unwrap();
+                evaluate_on(Backend::Columnar.into(), &m, &inst.query, &inst.interner, rows(&list)).unwrap();
             prop_assert_eq!(&got, &fresh, "on {}", inst.query);
             for st in &stats {
                 prop_assert_eq!(st, &fresh_stats, "stats diverged on {}", inst.query);
@@ -377,7 +377,7 @@ proptest! {
             let (got, stats) = fleet.apply(&inst.interner, &runs);
             let list: Vec<(Fact, _)> = current.clone().into_iter().collect();
             let (fresh, fresh_stats) =
-                evaluate_on(Backend::Columnar, &m, &inst.query, &inst.interner, list).unwrap();
+                evaluate_on(Backend::Columnar.into(), &m, &inst.query, &inst.interner, rows(&list)).unwrap();
             prop_assert_eq!(&got, &fresh, "on {}", inst.query);
             for st in &stats {
                 prop_assert_eq!(st, &fresh_stats, "stats diverged on {}", inst.query);
@@ -480,8 +480,14 @@ fn single_update_work_is_local_and_memory_is_lean() {
         let work = session.ops_performed() - warm;
         assert!(work <= 8, "update spent {work} monoid ops on |D| = {total}");
         facts[0].1 = 2;
-        let (want, want_stats) =
-            evaluate_on(Backend::Columnar, &CountMonoid, &q, &interner, facts).unwrap();
+        let (want, want_stats) = evaluate_on(
+            Backend::Columnar.into(),
+            &CountMonoid,
+            &q,
+            &interner,
+            rows(&facts),
+        )
+        .unwrap();
         assert_eq!(got, want, "|D| = {total}");
         assert_eq!(stats, want_stats, "|D| = {total}");
         // Memory: strictly below half the steps+1 full-clone footprint.

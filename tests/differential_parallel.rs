@@ -1,25 +1,26 @@
-//! Differential testing of the sharded parallel executor: runs at
-//! `threads ∈ {1, 2, 3, 8}` must agree **exactly** — result value
-//! (bit-for-bit on floats), support trajectory, and ⊕/⊗ operation
-//! counts — with the sequential columnar backend *and* the ordered-map
-//! oracle, on random hierarchical instances, for the probability,
+//! Differential testing of the columnar layout's shard-parallel
+//! kernels: runs at `threads ∈ {1, 2, 3, 8}` must agree **exactly** —
+//! result value (bit-for-bit on floats), support trajectory, and ⊕/⊗
+//! operation counts — with the sequential columnar backend *and* the
+//! ordered-map oracle, on random hierarchical instances, for the probability,
 //! counting, Bag-Set-Maximization, and `#Sat` monoid families.
 //!
-//! This is the determinism guarantee of the sharded execution mode:
-//! shard boundaries fall on key/group boundaries and shard outputs are
+//! This is the determinism guarantee of parallel execution: shard
+//! boundaries fall on key/group boundaries and shard outputs are
 //! recombined in fixed shard order, so scheduling can never leak into
 //! results. Any nondeterministic shard merge shows up here as a
 //! bit-level mismatch.
 
 mod common;
 
-use common::random_instance;
+use common::{random_instance, rows};
 use hq_db::Fact;
 use hq_monoid::{BagMaxMonoid, CountMonoid, ProbMonoid, SatCountMonoid, TwoMonoid};
-use hq_unify::engine::{evaluate_encoded, evaluate_on_par};
+use hq_unify::engine::evaluate_encoded;
 use hq_unify::storage::EncodedDb;
 use hq_unify::{
-    bsm, evaluate_on, pqe, Backend, MapRelation, Parallelism, ServingSession, ShardedColumnar,
+    bsm, evaluate_on, pqe, Backend, ColumnarRelation, Exec, MapRelation, Parallelism,
+    ServingSession,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -46,18 +47,18 @@ proptest! {
                 (f, p)
             })
             .collect();
-        let (pm, sm) = pqe::probability_with_stats_on(
-            Backend::Map, &inst.query, &inst.interner, &tid,
+        let (pm, sm) = pqe::probability_on(
+            Backend::Map.into(), &inst.query, &inst.interner, &tid,
         ).unwrap();
-        let (pc, sc) = pqe::probability_with_stats_on(
-            Backend::Columnar, &inst.query, &inst.interner, &tid,
+        let (pc, sc) = pqe::probability_on(
+            Backend::Columnar.into(), &inst.query, &inst.interner, &tid,
         ).unwrap();
         prop_assert_eq!(pm.to_bits(), pc.to_bits());
         prop_assert_eq!(&sm, &sc);
         for threads in THREADS {
             let par = Parallelism::fine_grained(threads);
-            let (pp, sp) = pqe::probability_with_stats_par(
-                Backend::Columnar, par, &inst.query, &inst.interner, &tid,
+            let (pp, sp) = pqe::probability_on(
+                Exec::new(Backend::Columnar, par), &inst.query, &inst.interner, &tid,
             ).unwrap();
             prop_assert_eq!(
                 pc.to_bits(), pp.to_bits(),
@@ -82,12 +83,12 @@ proptest! {
             })
             .collect();
         let (vc, sc) = evaluate_on(
-            Backend::Columnar, &CountMonoid, &inst.query, &inst.interner, facts.clone(),
+            Backend::Columnar.into(), &CountMonoid, &inst.query, &inst.interner, rows(&facts),
         ).unwrap();
         for threads in THREADS {
-            let (vp, sp) = evaluate_on_par(
-                Backend::Columnar, Parallelism::fine_grained(threads),
-                &CountMonoid, &inst.query, &inst.interner, facts.clone(),
+            let (vp, sp) = evaluate_on(
+                Exec::new(Backend::Columnar, Parallelism::fine_grained(threads)),
+                &CountMonoid, &inst.query, &inst.interner, rows(&facts),
             ).unwrap();
             prop_assert_eq!(vc, vp, "threads={} on {}", threads, inst.query);
             prop_assert_eq!(&sc, &sp, "threads={} on {}", threads, inst.query);
@@ -116,16 +117,16 @@ proptest! {
         }
         let theta = inst.rng.gen_range(0usize..=4);
         let seq = bsm::maximize_on(
-            Backend::Columnar, &inst.query, &inst.interner, &d, &d_r, theta,
+            Backend::Columnar.into(), &inst.query, &inst.interner, &d, &d_r, theta,
         ).unwrap();
         let map = bsm::maximize_on(
-            Backend::Map, &inst.query, &inst.interner, &d, &d_r, theta,
+            Backend::Map.into(), &inst.query, &inst.interner, &d, &d_r, theta,
         ).unwrap();
         prop_assert_eq!(&map.curve, &seq.curve);
         prop_assert_eq!(&map.stats, &seq.stats);
         for threads in THREADS {
-            let par = bsm::maximize_par(
-                Backend::Columnar, Parallelism::fine_grained(threads),
+            let par = bsm::maximize_on(
+                Exec::new(Backend::Columnar, Parallelism::fine_grained(threads)),
                 &inst.query, &inst.interner, &d, &d_r, theta,
             ).unwrap();
             prop_assert_eq!(&seq.curve, &par.curve, "threads={} θ={} on {}", threads, theta, inst.query);
@@ -152,12 +153,12 @@ proptest! {
             })
             .collect();
         let (vc, sc) = evaluate_on(
-            Backend::Columnar, &monoid, &inst.query, &inst.interner, annotated.clone(),
+            Backend::Columnar.into(), &monoid, &inst.query, &inst.interner, rows(&annotated),
         ).unwrap();
         for threads in THREADS {
-            let (vp, sp) = evaluate_on_par(
-                Backend::Columnar, Parallelism::fine_grained(threads),
-                &monoid, &inst.query, &inst.interner, annotated.clone(),
+            let (vp, sp) = evaluate_on(
+                Exec::new(Backend::Columnar, Parallelism::fine_grained(threads)),
+                &monoid, &inst.query, &inst.interner, rows(&annotated),
             ).unwrap();
             prop_assert_eq!(&vc, &vp, "threads={} on {}", threads, inst.query);
             prop_assert_eq!(&sc, &sp, "threads={} on {}", threads, inst.query);
@@ -180,12 +181,12 @@ proptest! {
             })
             .collect();
         let (_, sc) = evaluate_on(
-            Backend::Columnar, &m, &inst.query, &inst.interner, annotated.clone(),
+            Backend::Columnar.into(), &m, &inst.query, &inst.interner, rows(&annotated),
         ).unwrap();
         for threads in THREADS {
-            let (_, sp) = evaluate_on_par(
-                Backend::Columnar, Parallelism::fine_grained(threads),
-                &m, &inst.query, &inst.interner, annotated.clone(),
+            let (_, sp) = evaluate_on(
+                Exec::new(Backend::Columnar, Parallelism::fine_grained(threads)),
+                &m, &inst.query, &inst.interner, rows(&annotated),
             ).unwrap();
             prop_assert_eq!(&sc.support_sizes, &sp.support_sizes, "threads={} on {}", threads, inst.query);
         }
@@ -219,7 +220,7 @@ proptest! {
                 (i, p)
             })
             .collect();
-        let mut sharded: Vec<ServingSession<ProbMonoid, ShardedColumnar<f64>>> = THREADS
+        let mut sharded: Vec<ServingSession<ProbMonoid, ColumnarRelation<f64>>> = THREADS
             .iter()
             .map(|&t| {
                 ServingSession::with_parallelism(
@@ -264,8 +265,8 @@ proptest! {
                 (f, p)
             })
             .collect();
-        let (pc, sc) = pqe::probability_with_stats_on(
-            Backend::Columnar, &inst.query, &inst.interner, &tid,
+        let (pc, sc) = pqe::probability_on(
+            Backend::Columnar.into(), &inst.query, &inst.interner, &tid,
         ).unwrap();
         let enc = EncodedDb::new(&inst.database);
         for threads in THREADS {
@@ -313,11 +314,11 @@ proptest! {
                 (f, p)
             })
             .collect();
-        let (pm, sm) = pqe::probability_with_stats_on(
-            Backend::Map, &inst.query, &inst.interner, &tid,
+        let (pm, sm) = pqe::probability_on(
+            Backend::Map.into(), &inst.query, &inst.interner, &tid,
         ).unwrap();
-        let (pc, sc) = pqe::probability_with_stats_on(
-            Backend::Columnar, &inst.query, &inst.interner, &tid,
+        let (pc, sc) = pqe::probability_on(
+            Backend::Columnar.into(), &inst.query, &inst.interner, &tid,
         ).unwrap();
         prop_assert_eq!(pm.to_bits(), pc.to_bits());
         prop_assert_eq!(&sm, &sc);
@@ -331,9 +332,8 @@ proptest! {
                         let mut out = Vec::new();
                         for _round in 0..3 {
                             for threads in [2usize, 3, 8] {
-                                let (p, s) = pqe::probability_with_stats_par(
-                                    Backend::Columnar,
-                                    Parallelism::fine_grained(threads),
+                                let (p, s) = pqe::probability_on(
+                                    Exec::new(Backend::Columnar, Parallelism::fine_grained(threads)),
                                     &inst.query, &inst.interner, &tid,
                                 ).unwrap();
                                 out.push((threads, p, s));
@@ -380,13 +380,11 @@ fn pool_reuse_spawns_no_threads_after_warmup() {
         })
         .collect();
     let (seq, _) =
-        pqe::probability_with_stats_on(Backend::Columnar, &inst.query, &inst.interner, &tid)
-            .unwrap();
+        pqe::probability_on(Backend::Columnar.into(), &inst.query, &inst.interner, &tid).unwrap();
     for _round in 0..5 {
         for threads in [2usize, 3, 8] {
-            let (p, _) = pqe::probability_with_stats_par(
-                Backend::Columnar,
-                Parallelism::fine_grained(threads),
+            let (p, _) = pqe::probability_on(
+                Exec::new(Backend::Columnar, Parallelism::fine_grained(threads)),
                 &inst.query,
                 &inst.interner,
                 &tid,

@@ -7,7 +7,7 @@ mod common;
 use common::{cap_facts, random_instance};
 use hq_arith::Rational;
 use hq_db::Fact;
-use hq_unify::pqe;
+use hq_unify::{pqe, Exec};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -124,7 +124,7 @@ proptest! {
             })
             .collect();
         let (p, stats) =
-            pqe::probability_with_stats(&inst.query, &inst.interner, &tid).unwrap();
+            pqe::probability_on(Exec::default(), &inst.query, &inst.interner, &tid).unwrap();
         prop_assert!((0.0..=1.0 + 1e-12).contains(&p), "p={p}");
         prop_assert!(stats.support_never_grew());
     }

@@ -7,7 +7,7 @@
 //! bit-for-bit (floats included) and the replayed [`EngineStats`]
 //! (⊕/⊗ op counts *and* support trajectory) equal to the naive run's —
 //! on the ordered-map oracle, the sequential columnar backend, the
-//! compressed block tier, and the sharded backend at thread counts 2
+//! compressed block tier, and the columnar backend at thread counts 2
 //! and 8, for the prob, count, and bag-max 2-monoids.
 //!
 //! Non-prop pins: a repeated `query_fix` must perform **zero** monoid
@@ -20,8 +20,11 @@
 //! of looping forever; and the multi-tenant [`Server`] serves the same
 //! bits as a serial session before and after an epoch publish — and
 //! patches a reader-warmed fixpoint in place under a pure-insert
-//! commit instead of rebuilding it.
+//! commit instead of rebuilding it. Against the possible-world
+//! reachability oracle, the relaxation is pinned exact on random
+//! forests and 1/64 off on a diamond DAG with a shared stem.
 
+use hq_baselines::worlds;
 use hq_db::{Fact, Interner, Tuple, Value};
 use hq_monoid::{BagMaxMonoid, CountMonoid, ProbMonoid, SatCountMonoid, SatVec, TwoMonoid};
 use hq_unify::engine::EngineStats;
@@ -30,15 +33,15 @@ use hq_unify::fixpoint::{
     StepShape,
 };
 use hq_unify::{
-    ColumnarRelation, CompressedAnn, CompressedColumnar, MapRelation, Parallelism, Server,
-    ServingError, ServingSession, ShardedColumnar,
+    pqe, ColumnarRelation, CompressedAnn, CompressedColumnar, MapRelation, Parallelism, Server,
+    ServingError, ServingSession,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeMap;
 
-/// Thread counts for the sharded serving sessions.
+/// Thread counts for the parallel columnar serving sessions.
 const THREADS: [usize; 2] = [2, 8];
 
 /// Update rounds per proptest schedule.
@@ -57,7 +60,7 @@ where
     map: ServingSession<M, MapRelation<M::Elem>>,
     columnar: ServingSession<M, ColumnarRelation<M::Elem>>,
     compressed: ServingSession<M, CompressedColumnar<M::Elem>>,
-    sharded: Vec<ServingSession<M, ShardedColumnar<M::Elem>>>,
+    sharded: Vec<ServingSession<M, ColumnarRelation<M::Elem>>>,
 }
 
 impl<M: TwoMonoid + Clone> Fleet<M>
@@ -382,7 +385,7 @@ fn server_epoch_publish_serves_bit_identical_fixpoints() {
     check::<ColumnarRelation<f64>>(Parallelism::default());
     check::<CompressedColumnar<f64>>(Parallelism::default());
     for &t in &THREADS {
-        check::<ShardedColumnar<f64>>(Parallelism::fine_grained(t));
+        check::<ColumnarRelation<f64>>(Parallelism::fine_grained(t));
     }
 }
 
@@ -463,7 +466,7 @@ fn server_patches_reader_warmed_fixpoint_under_pure_inserts() {
     check::<ColumnarRelation<f64>>(Parallelism::default());
     check::<CompressedColumnar<f64>>(Parallelism::default());
     for &t in &THREADS {
-        check::<ShardedColumnar<f64>>(Parallelism::fine_grained(t));
+        check::<ColumnarRelation<f64>>(Parallelism::fine_grained(t));
     }
 }
 
@@ -552,4 +555,75 @@ fn non_convergent_monoid_is_rejected_not_run() {
         err,
         ServingError::Fixpoint(FixpointError::NonConvergentMonoid)
     ));
+}
+
+/// A seeded random directed forest over `nodes` shuffled labels: every
+/// node but the roots hangs off one earlier node, so each reachable
+/// pair is joined by exactly one path. At most `nodes − 1` edges.
+fn random_forest(rng: &mut StdRng, nodes: usize) -> Vec<(Tuple, f64)> {
+    let mut labels: Vec<i64> = (0..nodes as i64).map(|i| 3 * i + 1).collect();
+    for i in (1..labels.len()).rev() {
+        labels.swap(i, rng.gen_range(0..=i));
+    }
+    let mut edges: Vec<(Tuple, f64)> = Vec::new();
+    for child in 1..nodes {
+        if rng.gen_bool(0.85) {
+            let parent = rng.gen_range(0..child);
+            let p = rng.gen_range(0.05..=0.95);
+            edges.push((Tuple::ints(&[labels[parent], labels[child]]), p));
+        }
+    }
+    edges.sort_by(|a, b| a.0.cmp(&b.0));
+    edges
+}
+
+/// README's "exact on forests": where every pair has at most one path,
+/// the min-round relaxation equals exact reachability — checked
+/// against possible-world enumeration for every ordered node pair.
+#[test]
+fn reachability_is_exact_on_forests() {
+    let mut checked = 0usize;
+    for seed in 0..32u64 {
+        let mut rng = hq_db::generate::rng(seed);
+        let nodes = rng.gen_range(2..=12);
+        let edges = random_forest(&mut rng, nodes);
+        let ends: std::collections::BTreeSet<Value> = edges
+            .iter()
+            .flat_map(|(t, _)| [t.get(0), t.get(1)])
+            .collect();
+        for &src in &ends {
+            for &dst in &ends {
+                let (got, _) = pqe::reachability(&edges, Some(src), Some(dst)).unwrap();
+                let want = worlds::reachability_exhaustive(&edges, src, dst);
+                assert!(
+                    (got - want).abs() <= 1e-12,
+                    "seed {seed}: {src:?} to {dst:?} relaxed {got} vs exact {want}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0, "no forest had an edge");
+}
+
+/// The min-round relaxation's gap on a diamond DAG, pinned as a
+/// number. Stem `0 → 1`, then the diamond `1 → {2, 3} → 4`, every edge
+/// at p = 1/2. From the diamond's top the two paths share no edge, so
+/// the noisy-or of the two path products is exact (7/16). From the
+/// stem both paths share `0 → 1`, which the noisy-or counts once per
+/// path: 15/64 relaxed against 14/64 exact — a gap of 1/64.
+#[test]
+fn min_round_relaxation_gap_on_a_diamond_dag() {
+    let edges: Vec<(Tuple, f64)> = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]
+        .iter()
+        .map(|&(a, b)| (Tuple::ints(&[a, b]), 0.5))
+        .collect();
+    let v = Value::Int;
+    let relaxed = |s, d| pqe::reachability(&edges, Some(v(s)), Some(v(d))).unwrap().0;
+    let exact = |s, d| worlds::reachability_exhaustive(&edges, v(s), v(d));
+    assert_eq!(relaxed(1, 4), 0.4375);
+    assert_eq!(exact(1, 4), 0.4375);
+    assert_eq!(relaxed(0, 4), 0.234375);
+    assert_eq!(exact(0, 4), 0.21875);
+    assert_eq!(relaxed(0, 4) - exact(0, 4), 0.015625);
 }

@@ -41,7 +41,7 @@ use hq_query::Query;
 use hq_unify::engine::EngineStats;
 use hq_unify::{
     evaluate_encoded, ColumnarRelation, CompressedColumnar, EncodedDb, MapRelation, Parallelism,
-    Server, ServingBackend, ShardedColumnar,
+    Server, ServingBackend,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -396,7 +396,7 @@ proptest! {
         drive(&server, &inst.interner, &family, current.clone(), &batches);
 
         for &t in &THREADS {
-            let server: Server<ProbMonoid, ShardedColumnar<f64>> = Server::with_parallelism(
+            let server: Server<ProbMonoid, ColumnarRelation<f64>> = Server::with_parallelism(
                 ProbMonoid,
                 &inst.interner,
                 tid.iter().cloned(),
@@ -444,7 +444,7 @@ proptest! {
         drive_concurrent(&server, &inst.interner, &family, current.clone(), &batches);
 
         for &t in &THREADS {
-            let server: Server<ProbMonoid, ShardedColumnar<f64>> = Server::with_parallelism(
+            let server: Server<ProbMonoid, ColumnarRelation<f64>> = Server::with_parallelism(
                 ProbMonoid,
                 &inst.interner,
                 tid.iter().cloned(),
@@ -503,7 +503,7 @@ fn small_states_match_possible_worlds_oracle() {
     check::<MapRelation<f64>>(Parallelism::default());
     check::<ColumnarRelation<f64>>(Parallelism::default());
     check::<CompressedColumnar<f64>>(Parallelism::default());
-    check::<ShardedColumnar<f64>>(Parallelism::fine_grained(2));
+    check::<ColumnarRelation<f64>>(Parallelism::fine_grained(2));
 }
 
 /// Zero pool-thread spawns per request after warmup: the sharded
@@ -514,7 +514,7 @@ fn small_states_match_possible_worlds_oracle() {
 fn no_pool_spawns_per_request_after_warmup() {
     let (interner, tid, q) = small_instance();
     let par = Parallelism::fine_grained(4);
-    let server: Server<ProbMonoid, ShardedColumnar<f64>> =
+    let server: Server<ProbMonoid, ColumnarRelation<f64>> =
         Server::with_parallelism(ProbMonoid, &interner, tid.iter().cloned(), par).unwrap();
     // One warm round: materialise every node once.
     let warm = server.session();
@@ -628,7 +628,7 @@ fn reader_pinned_across_dictionary_extension() {
     check::<ColumnarRelation<f64>>(Parallelism::default());
     check::<CompressedColumnar<f64>>(Parallelism::default());
     for &t in &THREADS {
-        check::<ShardedColumnar<f64>>(Parallelism::fine_grained(t));
+        check::<ColumnarRelation<f64>>(Parallelism::fine_grained(t));
     }
 }
 

@@ -7,29 +7,39 @@
 //! the reported [`EngineStats`] (⊕/⊗ op counts *and* support
 //! trajectory) equal to the fresh run's — on the ordered-map oracle,
 //! the sequential columnar backend, the compressed block tier, and the
-//! sharded backend at thread counts 2 and 8.
+//! columnar backend at thread counts 2 and 8.
 //!
 //! Non-prop pins: a batch of overlapping queries must perform strictly
 //! fewer monoid operations than independent `evaluate_encoded` calls
 //! (the acceptance bar for common-subexpression sharing), and a cache
 //! hit must perform **zero** monoid operations on the shared prefix.
+//! On states of at most 12 facts the typed sessions are also checked
+//! against the brute-force `hq_baselines` oracles (possible worlds,
+//! repair-subset enumeration, `#Sat` by subsets), and the paper's
+//! Figure 1 values are pinned on every backend.
 
 mod common;
 
-use common::random_instance;
+use common::{random_instance, rows};
+use hq_arith::Natural;
+use hq_baselines::{bsm_bf, shapley_bf, worlds};
 use hq_db::{Database, Fact, Interner, Tuple};
-use hq_monoid::{BagMaxMonoid, CountMonoid, ProbMonoid, TwoMonoid};
-use hq_query::Query;
+use hq_monoid::{BagMaxMonoid, BudgetVec, CountMonoid, ProbMonoid, TwoMonoid};
+use hq_query::{parse_query, Query};
+use hq_unify::bsm::{BsmSession, PsiClass};
 use hq_unify::engine::EngineStats;
+use hq_unify::pqe::PqeSession;
+use hq_unify::shapley::{FactRole, SatSession};
 use hq_unify::{
     evaluate_encoded, evaluate_on, ColumnarRelation, CompressedAnn, CompressedColumnar, EncodedDb,
-    MapRelation, Parallelism, ServingBackend, ServingSession, ShardedColumnar,
+    MapRelation, Parallelism, ServingBackend, ServingSession,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::BTreeMap;
 
-/// Thread counts for the sharded serving sessions.
+/// Thread counts for the parallel columnar serving sessions.
 const THREADS: [usize; 2] = [2, 8];
 
 /// One serving session per backend flavour, all fed the same script.
@@ -40,7 +50,7 @@ where
     map: ServingSession<M, MapRelation<M::Elem>>,
     columnar: ServingSession<M, ColumnarRelation<M::Elem>>,
     compressed: ServingSession<M, CompressedColumnar<M::Elem>>,
-    sharded: Vec<ServingSession<M, ShardedColumnar<M::Elem>>>,
+    sharded: Vec<ServingSession<M, ColumnarRelation<M::Elem>>>,
 }
 
 impl<M: TwoMonoid + Clone> Fleet<M>
@@ -265,7 +275,7 @@ proptest! {
                 let list: Vec<(Fact, f64)> = current.clone().into_iter().collect();
                 for backend in hq_unify::Backend::ALL {
                     let (fresh, fresh_stats) =
-                        evaluate_on(backend, &ProbMonoid, q, &inst.interner, list.clone())
+                        evaluate_on(backend.into(), &ProbMonoid, q, &inst.interner, rows(&list))
                             .unwrap();
                     prop_assert_eq!(
                         got.to_bits(), fresh.to_bits(),
@@ -561,7 +571,7 @@ fn shared_serving_beats_independent_evaluation_on_every_backend() {
     );
     for t in THREADS {
         check(
-            ServingSession::<_, ShardedColumnar<f64>>::with_parallelism(
+            ServingSession::<_, ColumnarRelation<f64>>::with_parallelism(
                 ProbMonoid,
                 &interner,
                 tid.iter().cloned(),
@@ -751,7 +761,7 @@ fn delta_patching_beats_rebuild_on_the_pinned_32k_instance() {
         run_pair("columnar(threads=1)", patched, rebuilt);
     }
     for t in THREADS {
-        let patch: ServingSession<ProbMonoid, ShardedColumnar<f64>> =
+        let patch: ServingSession<ProbMonoid, ColumnarRelation<f64>> =
             ServingSession::with_parallelism(
                 ProbMonoid,
                 &interner,
@@ -759,7 +769,7 @@ fn delta_patching_beats_rebuild_on_the_pinned_32k_instance() {
                 Parallelism::new(t),
             )
             .unwrap();
-        let mut rebuild: ServingSession<ProbMonoid, ShardedColumnar<f64>> =
+        let mut rebuild: ServingSession<ProbMonoid, ColumnarRelation<f64>> =
             ServingSession::with_parallelism(
                 ProbMonoid,
                 &interner,
@@ -1041,4 +1051,280 @@ fn update_invalidation_is_scoped_to_touched_relations() {
         "patch ({patch_cost} ops) must undercut a fresh evaluation ({})",
         want_stats.total_ops()
     );
+}
+
+/// States of at most this many facts are also checked against the
+/// brute-force `hq_baselines` oracles, which share no code with the
+/// engine under test.
+const ORACLE_FACTS: usize = 12;
+
+/// The seeds each brute-force arm sweeps; every arm asserts it fired.
+const ORACLE_SEEDS: std::ops::Range<u64> = 0..24;
+
+/// The facts of `facts` over relations `q` mentions (a sub-query of
+/// the family ignores the rest).
+fn over_query(q: &Query, interner: &Interner, facts: &[Fact]) -> Vec<Fact> {
+    let rels: Vec<hq_db::Sym> = query_rels(q, interner).iter().map(|&(s, _)| s).collect();
+    facts
+        .iter()
+        .filter(|f| rels.contains(&f.rel))
+        .cloned()
+        .collect()
+}
+
+/// `PqeSession` answers, through a script of updates, deletes and
+/// novel inserts, match possible-world enumeration on small states.
+#[test]
+fn pqe_session_matches_possible_worlds_on_small_states() {
+    let mut fired = 0usize;
+    for seed in ORACLE_SEEDS {
+        let mut inst = random_instance(seed, 4, 4, 4, 3);
+        let rels = query_rels(&inst.query, &inst.interner);
+        if rels.is_empty() {
+            continue;
+        }
+        let family = query_family(&inst.query);
+        let facts = inst.database.facts();
+        let mut current: BTreeMap<Fact, f64> = facts
+            .iter()
+            .map(|f| (f.clone(), inst.rng.gen_range(0.01..=1.0)))
+            .collect();
+        let tid: Vec<(Fact, f64)> = current.clone().into_iter().collect();
+        let mut session: PqeSession = PqeSession::new(&inst.interner, &tid).unwrap();
+        for _ in 0..3 {
+            if current.len() <= ORACLE_FACTS {
+                let list: Vec<(Fact, f64)> = current.clone().into_iter().collect();
+                for q in &family {
+                    let (got, _) = session.query(&inst.interner, q).unwrap();
+                    let want = worlds::probability_exhaustive(q, &inst.interner, &list);
+                    assert!(
+                        (got - want).abs() <= 1e-9,
+                        "seed {seed}: served {got} vs possible worlds {want} on {q}"
+                    );
+                    fired += 1;
+                }
+            }
+            let batch = random_batch(&mut inst.rng, &facts, &rels, 3);
+            apply_to_model(&mut current, &batch);
+            let writes: Vec<(Fact, f64)> = batch
+                .iter()
+                .map(|(f, v)| (f.clone(), v.unwrap_or(0.0)))
+                .collect();
+            session.update_batch(&inst.interner, &writes).unwrap();
+        }
+    }
+    assert!(fired > 0, "the possible-worlds arm never fired");
+}
+
+/// `BsmSession` curves, through ψ-class reassignments and novel
+/// inserts, match repair-subset enumeration at every budget.
+#[test]
+fn bsm_session_matches_brute_force_on_small_states() {
+    const THETA: usize = 3;
+    let mut fired = 0usize;
+    for seed in ORACLE_SEEDS {
+        let mut inst = random_instance(seed, 4, 4, 4, 3);
+        let rels = query_rels(&inst.query, &inst.interner);
+        if rels.is_empty() {
+            continue;
+        }
+        let family = query_family(&inst.query);
+        let facts = inst.database.facts();
+        let mut current: BTreeMap<Fact, PsiClass> = facts
+            .iter()
+            .map(|f| {
+                let class = if inst.rng.gen_bool(0.5) {
+                    PsiClass::Base
+                } else {
+                    PsiClass::Repair
+                };
+                (f.clone(), class)
+            })
+            .collect();
+        let part = |current: &BTreeMap<Fact, PsiClass>, class: PsiClass| -> Database {
+            let mut db = Database::new();
+            for (f, _) in current.iter().filter(|&(_, &c)| c == class) {
+                db.insert(f.clone());
+            }
+            db
+        };
+        let (d, d_r) = (
+            part(&current, PsiClass::Base),
+            part(&current, PsiClass::Repair),
+        );
+        let mut session: BsmSession = BsmSession::new(&inst.interner, &d, &d_r, THETA).unwrap();
+        for _ in 0..3 {
+            if current.len() <= ORACLE_FACTS {
+                let (d, d_r) = (
+                    part(&current, PsiClass::Base),
+                    part(&current, PsiClass::Repair),
+                );
+                for q in &family {
+                    let sol = session.query(&inst.interner, q).unwrap();
+                    for theta in 0..=THETA {
+                        let want = bsm_bf::maximize_bruteforce(q, &inst.interner, &d, &d_r, theta);
+                        assert_eq!(
+                            sol.value_at(theta),
+                            want.optimum,
+                            "seed {seed}: budget {theta} vs brute force on {q}"
+                        );
+                    }
+                    fired += 1;
+                }
+            }
+            for (fact, w) in random_batch(&mut inst.rng, &facts, &rels, 3) {
+                let class = match w {
+                    None => PsiClass::Absent,
+                    Some(p) if p < 0.5 => PsiClass::Base,
+                    Some(_) => PsiClass::Repair,
+                };
+                apply_to_model(
+                    &mut current,
+                    &[(fact.clone(), (class != PsiClass::Absent).then_some(class))],
+                );
+                session.set_fact(&inst.interner, &fact, class).unwrap();
+            }
+        }
+    }
+    assert!(fired > 0, "the brute-force BSM arm never fired");
+}
+
+/// `SatSession` vectors, through role flips and novel inserts, match
+/// `#Sat` by subset enumeration over the facts each query sees.
+#[test]
+fn sat_session_matches_brute_force_on_small_states() {
+    let mut fired = 0usize;
+    for seed in ORACLE_SEEDS {
+        let mut inst = random_instance(seed, 4, 4, 4, 3);
+        let rels = query_rels(&inst.query, &inst.interner);
+        if rels.is_empty() {
+            continue;
+        }
+        let family = query_family(&inst.query);
+        let facts = inst.database.facts();
+        let mut current: BTreeMap<Fact, FactRole> = facts
+            .iter()
+            .map(|f| {
+                let role = if inst.rng.gen_bool(0.5) {
+                    FactRole::Exogenous
+                } else {
+                    FactRole::Endogenous
+                };
+                (f.clone(), role)
+            })
+            .collect();
+        let part = |current: &BTreeMap<Fact, FactRole>, role: FactRole| -> Vec<Fact> {
+            current
+                .iter()
+                .filter(|&(_, &r)| r == role)
+                .map(|(f, _)| f.clone())
+                .collect()
+        };
+        let (exo, endo) = (
+            part(&current, FactRole::Exogenous),
+            part(&current, FactRole::Endogenous),
+        );
+        // Capacity covers the initial facts plus every insert the
+        // script can make (3 batches × ≤ 3 writes).
+        let capacity = facts.len() + 9;
+        let mut session: SatSession =
+            SatSession::new(&inst.interner, &exo, &endo, capacity).unwrap();
+        for _ in 0..3 {
+            if current.len() <= ORACLE_FACTS {
+                let (exo, endo) = (
+                    part(&current, FactRole::Exogenous),
+                    part(&current, FactRole::Endogenous),
+                );
+                for q in &family {
+                    let got = session.query(&inst.interner, q).unwrap();
+                    let want = shapley_bf::sat_counts_bruteforce(
+                        q,
+                        &inst.interner,
+                        &over_query(q, &inst.interner, &exo),
+                        &over_query(q, &inst.interner, &endo),
+                    );
+                    assert_eq!(&got.t[..want.len()], &want[..], "seed {seed}: #Sat on {q}");
+                    assert!(
+                        got.t[want.len()..].iter().all(Natural::is_zero),
+                        "seed {seed}: #Sat beyond |D_n| on {q}"
+                    );
+                    fired += 1;
+                }
+            }
+            for (fact, w) in random_batch(&mut inst.rng, &facts, &rels, 3) {
+                let role = match w {
+                    None => FactRole::Absent,
+                    Some(p) if p < 0.5 => FactRole::Exogenous,
+                    Some(_) => FactRole::Endogenous,
+                };
+                apply_to_model(
+                    &mut current,
+                    &[(fact.clone(), (role != FactRole::Absent).then_some(role))],
+                );
+                session.set_fact(&inst.interner, &fact, role).unwrap();
+            }
+        }
+    }
+    assert!(fired > 0, "the brute-force #Sat arm never fired");
+}
+
+/// The paper's Figure 1 values, served by sessions on every backend
+/// and at two threads: BSM at θ = 2 gives the curve 1/2/4, and PQE on
+/// E(1,2)@0.5, F(2,3)@0.5, F(2,9)@0.25 gives 5/16 = 0.3125 — the same
+/// number possible-world enumeration gives.
+#[test]
+fn figure_1_values_hold_in_sessions() {
+    fn check<Rb, Rp>(par: Parallelism)
+    where
+        Rb: ServingBackend<Ann = BudgetVec>,
+        Rp: ServingBackend<Ann = f64>,
+    {
+        let q = parse_query("Q() :- R(A,B), S(A,C), T(A,C,D)").unwrap();
+        let (d, mut i) = hq_db::db_from_ints(&[
+            ("R", &[&[1, 5]]),
+            ("S", &[&[1, 1], &[1, 2]]),
+            ("T", &[&[1, 2, 4]]),
+        ]);
+        let (r, t) = (i.intern("R"), i.intern("T"));
+        let mut d_r = Database::new();
+        for (rel, vals) in [
+            (r, &[1, 6][..]),
+            (r, &[1, 7]),
+            (t, &[1, 1, 4]),
+            (t, &[1, 2, 9]),
+        ] {
+            d_r.insert_tuple(rel, Tuple::ints(vals));
+        }
+        let mut bsm = BsmSession::<Rb>::with_parallelism(&i, &d, &d_r, 2, par).unwrap();
+        let sol = bsm.query(&i, &q).unwrap();
+        assert_eq!(
+            (0..=2).map(|b| sol.value_at(b)).collect::<Vec<_>>(),
+            [1, 2, 4]
+        );
+        assert_eq!(sol.optimum(), 4);
+
+        let q = parse_query("Q() :- E(X,Y), F(Y,Z)").unwrap();
+        let (db, i) = hq_db::db_from_ints(&[("E", &[&[1, 2]]), ("F", &[&[2, 3], &[2, 9]])]);
+        let tid: Vec<(Fact, f64)> = db
+            .facts()
+            .into_iter()
+            .map(|f| {
+                let p = if f.tuple == Tuple::ints(&[2, 9]) {
+                    0.25
+                } else {
+                    0.5
+                };
+                (f, p)
+            })
+            .collect();
+        let mut pqe = PqeSession::<Rp>::with_parallelism(&i, &tid, par).unwrap();
+        let (p, _) = pqe.query(&i, &q).unwrap();
+        assert_eq!(p, 0.3125);
+        assert_eq!(worlds::probability_exhaustive(&q, &i, &tid), 0.3125);
+    }
+    let seq = Parallelism::default();
+    check::<MapRelation<BudgetVec>, MapRelation<f64>>(seq);
+    check::<ColumnarRelation<BudgetVec>, ColumnarRelation<f64>>(seq);
+    check::<CompressedColumnar<BudgetVec>, CompressedColumnar<f64>>(seq);
+    check::<ColumnarRelation<BudgetVec>, ColumnarRelation<f64>>(Parallelism::fine_grained(2));
 }

@@ -8,7 +8,7 @@ mod common;
 use common::random_instance;
 use hq_monoid::{BoolMonoid, CountMonoid, ProbMonoid, TropicalMinMonoid, TROPICAL_INF};
 use hq_query::{plan_with_order, PlanOrder};
-use hq_unify::{annotate, evaluate, run_plan, MapRelation, ServingSession};
+use hq_unify::{annotate, evaluate, run_plan, MapRelation, Parallelism, ServingSession};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -32,7 +32,7 @@ proptest! {
                 facts.iter().enumerate().map(|(i, f)| (f.clone(), probs[i])),
             )
             .unwrap();
-            let (v, stats) = run_plan(&ProbMonoid, &p, db);
+            let (v, stats) = run_plan(&ProbMonoid, &p, db, Parallelism::sequential());
             prop_assert!(stats.support_never_grew(), "order {order:?}");
             results.push(v);
         }
