@@ -115,7 +115,8 @@ fn usage() -> String {
      \x20         [--write-queue <n>]                      bound the group-commit queue to\n\
      \x20                                                  n pending writer batches\n\
      \x20         [--write-policy block|refuse]            what a full write queue does to\n\
-     \x20                                                  new submissions (default: block)\n\
+     \x20                                                  new submissions (default: block;\n\
+     \x20                                                  requires --write-queue)\n\
      \x20 shapley --query <q> --db <file> [--exogenous <file>]\n\
      \n\
      solver options:\n\
@@ -1083,6 +1084,25 @@ mod tests {
         let err =
             run_strs(&["pqe", "--query", "Q() :- E(X,Y)", "--db", &db, "--spill"]).unwrap_err();
         assert!(err.contains("--mode serve"), "{err}");
+    }
+
+    #[test]
+    fn write_policy_without_write_queue_is_an_error() {
+        let db = write_temp("write_policy.facts", "E(1,2) @ 0.5\n");
+        let err = run_strs(&[
+            "serve",
+            "--db",
+            &db,
+            "--listen",
+            "127.0.0.1:0",
+            "--write-policy",
+            "refuse",
+        ])
+        .unwrap_err();
+        assert!(
+            err.contains("--write-policy requires --write-queue"),
+            "{err}"
+        );
     }
 
     #[test]

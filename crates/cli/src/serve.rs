@@ -2,7 +2,7 @@
 //!
 //! Each TCP connection becomes one snapshot-isolated
 //! [`hq_unify::Session`] over a single shared [`hq_unify::Server`]
-//! (one `EncodedDb`, one plan-node cache, one writer). The wire
+//! (one encoded base store, one plan-node cache, one writer). The wire
 //! protocol **is** the script grammar of [`hq_unify::script`], one
 //! command per line, one response line per command:
 //!
@@ -260,6 +260,9 @@ impl WireSession {
 /// Binds, prints the bound address to stderr (so `--listen 127.0.0.1:0`
 /// is scriptable), and serves until a connection sends `shutdown`.
 pub(crate) fn cmd_serve(args: &Args) -> Result<String, String> {
+    if args.get("write-policy").is_some() && args.get("write-queue").is_none() {
+        return Err("--write-policy requires --write-queue".into());
+    }
     let backend = crate::backend_arg(args)?;
     let par = crate::threads_arg(args)?;
     let mut interner = Interner::new();
@@ -298,22 +301,17 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, String> {
             .ok_or_else(|| "max-live-epochs: expected an integer >= 2".to_string())?;
         server.set_max_live_epochs(Some(max));
     }
-    let write_policy: hq_unify::WritePolicy = match args.get("write-policy") {
-        Some(p) => p.parse().map_err(|e| format!("write-policy: {e}"))?,
-        None => hq_unify::WritePolicy::default(),
-    };
-    match args.get("write-queue") {
-        Some(n) => {
-            let depth: usize = n
-                .parse()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| "write-queue: expected a positive integer".to_string())?;
-            server.set_write_queue(Some(depth), write_policy);
-        }
-        // A policy without a bound still applies (it matters once a
-        // bound is set later via future admin surface; harmless now).
-        None => server.set_write_queue(None, write_policy),
+    if let Some(n) = args.get("write-queue") {
+        let depth: usize = n
+            .parse()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| "write-queue: expected a positive integer".to_string())?;
+        let write_policy: hq_unify::WritePolicy = match args.get("write-policy") {
+            Some(p) => p.parse().map_err(|e| format!("write-policy: {e}"))?,
+            None => hq_unify::WritePolicy::default(),
+        };
+        server.set_write_queue(Some(depth), write_policy);
     }
     let listener = TcpListener::bind(listen).map_err(|e| format!("{listen}: {e}"))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
@@ -377,6 +375,15 @@ fn serve_loop(
         let server = server.clone();
         let interner = interner.clone();
         let stop = stop.clone();
+        // Join finished handlers now, not at shutdown, so their
+        // stacks are released while the server runs.
+        let (done, live): (Vec<_>, Vec<_>) = handles
+            .drain(..)
+            .partition(|h: &std::thread::JoinHandle<()>| h.is_finished());
+        for h in done {
+            let _ = h.join();
+        }
+        handles = live;
         handles.push(std::thread::spawn(move || {
             let _ = handle_conn(&stream, &server, session, &interner, &stop, idle);
             // Free the slot before closing, so a client that sees the
@@ -582,6 +589,29 @@ mod tests {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(bytes).unwrap();
         BufReader::new(stream).lines().map(|l| l.unwrap()).collect()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        // An unjoined finished thread keeps its stack mapped (two
+        // lines of /proc/self/maps each), so 500 connections without
+        // reaping would grow the map by about 1,000 lines.
+        let maps = || {
+            std::fs::read_to_string("/proc/self/maps")
+                .unwrap()
+                .lines()
+                .count()
+        };
+        let (addr, handle) = boot("E(1,2) @ 0.5\n", &[]);
+        let before = maps();
+        for _ in 0..500 {
+            assert!(roundtrip(addr, &["quit"]).is_empty());
+        }
+        let grown = maps().saturating_sub(before);
+        assert!(grown < 250, "/proc/self/maps grew by {grown} lines");
+        let _ = roundtrip(addr, &["shutdown"]);
+        assert_eq!(handle.join().unwrap(), Ok(501));
     }
 
     #[test]

@@ -70,13 +70,15 @@
 //! [`EncodedDb`] caches a database's dictionary encoding (the
 //! dominant cost of building columnar relations) so that repeated
 //! queries over one database skip re-encoding entirely; see
-//! [`evaluate_encoded`]. On top of it, [`ServingSession`] (typed
-//! wrappers [`pqe::PqeSession`], [`bsm::BsmSession`],
-//! [`shapley::SatSession`]; CLI `pqe --mode serve`) is a full
-//! multi-query server: queries are lowered onto a hash-consed plan IR
-//! ([`plan_ir`]) so overlapping queries evaluate each common sub-plan
-//! **once per backend** (a repeated query performs zero monoid ops),
-//! and `update`/`update_batch` calls delta-refresh the encoding and
+//! [`evaluate_encoded`]. [`ServingSession`] (typed wrappers
+//! [`pqe::PqeSession`], [`bsm::BsmSession`], [`shapley::SatSession`];
+//! CLI `pqe --mode serve`) keeps its annotated facts once, already
+//! encoded ([`storage::BaseDb`]), and is a full multi-query server:
+//! queries are lowered onto a hash-consed plan IR ([`plan_ir`]) so
+//! overlapping queries evaluate each common sub-plan **once per
+//! backend** (a repeated query performs zero monoid ops), and
+//! `update`/`update_batch` calls write the store in place (novel
+//! domain values extend its dictionary once per batch) and
 //! delta-patch the cached pipeline in place (dirty Rule 1 groups
 //! refold, dirty Rule 2 keys re-derive) — the crate's one maintenance
 //! path under updates, with every served value and [`EngineStats`]

@@ -8,14 +8,13 @@
 //! model is **single-writer / multi-reader snapshot isolation**:
 //!
 //! * **Epochs.** Every committed [`Server::update_batch`] publishes an
-//!   immutable [`EpochState`] — a copy-on-write snapshot of the
-//!   database, the annotation map, the [`EncodedDb`] code matrices and
-//!   the per-relation dirty epochs. Readers evaluate against the
-//!   epoch current when their query starts (or one explicitly pinned
-//!   with [`Session::pin`]); the writer patches the master in place
-//!   and publishes the next epoch without ever touching a published
-//!   one. An epoch retires (its matrices free) when its last reader
-//!   drops.
+//!   immutable [`EpochState`] — a deep copy of the master's one
+//!   encoded base store ([`BaseDb`]: codes and annotations) plus the
+//!   per-relation dirty epochs. Readers evaluate against the epoch
+//!   current when their query starts (or one explicitly pinned with
+//!   [`Session::pin`]); the writer patches the master in place and
+//!   publishes the next epoch without ever touching a published one.
+//!   An epoch retires (its copy frees) when its last reader drops.
 //! * **Shared node cache.** Materialised plan nodes live in one
 //!   process-wide cache keyed by `(plan node, code generation, dep
 //!   stamp)`, where the *stamp* is the maximum dirty epoch over the
@@ -76,11 +75,11 @@ use crate::annotated::AnnotateError;
 use crate::engine::EngineStats;
 use crate::plan_ir::{LoweredQuery, PlanExpr, PlanId};
 use crate::serving::{
-    eval_node, node_inputs, query_shape, replay, BaseState, Node, QueryShape, ServingBackend,
-    ServingError, ServingSession, UpdateOutcome,
+    eval_node, node_inputs, query_shape, replay, Node, QueryShape, ServingBackend, ServingError,
+    ServingSession, UpdateOutcome,
 };
-use crate::storage::{ColumnarRelation, EncodedDb, Parallelism};
-use hq_db::{Database, Fact, Interner, Sym, Value};
+use crate::storage::{BaseDb, ColumnarRelation, Parallelism};
+use hq_db::{Fact, Interner, Sym, Value};
 use hq_monoid::TwoMonoid;
 use hq_query::Query;
 use std::cmp::Reverse;
@@ -120,15 +119,13 @@ fn coalesce_batches<E: Clone>(batches: &[&[(Fact, E)]]) -> Vec<(Fact, E)> {
 /// One immutable published snapshot: everything a reader needs to
 /// evaluate queries without taking the master lock. Readers holding an
 /// `Arc<EpochState>` (pinned, or just for the duration of one query)
-/// keep the epoch's copy-on-write matrices alive; dropping the last
+/// keep the epoch's copy of the base store alive; dropping the last
 /// reference retires the epoch and wakes any writer blocked on
 /// [`Server::set_max_live_epochs`] admission.
 pub struct EpochState<M: TwoMonoid> {
     epoch: u64,
     code_gen: u64,
-    db: Database,
-    ann: BTreeMap<Fact, M::Elem>,
-    enc: EncodedDb,
+    base: BaseDb<M::Elem>,
     rel_epoch: HashMap<String, u64>,
     retire: Weak<RetireSignal>,
 }
@@ -149,9 +146,7 @@ impl<M: TwoMonoid> EpochState<M> {
         Arc::new(EpochState {
             epoch: master.session_epoch(),
             code_gen,
-            db: master.database().clone(),
-            ann: master.annotations().clone(),
-            enc: master.encoded_db().clone(),
+            base: master.base().clone(),
             rel_epoch: master.rel_epochs().clone(),
             retire: Arc::downgrade(retire),
         })
@@ -300,8 +295,8 @@ struct PendingBatch<M: TwoMonoid> {
 
 /// The commit queue plus its policy knobs, counters, and the grow-only
 /// relation→arity registry enqueue-time validation checks against
-/// (declared arities are monotone: [`Database`] keeps a relation's
-/// arity even after every fact is deleted, so the registry never has
+/// (declared arities are monotone: [`BaseDb`] keeps a relation's
+/// width even after every fact is deleted, so the registry never has
 /// to shrink and validation never takes the master lock).
 struct WriteState<M: TwoMonoid> {
     pending: VecDeque<PendingBatch<M>>,
@@ -495,14 +490,15 @@ where
         for input in node_inputs(node_of, id)? {
             self.ensure_node(epoch, plan, input, interner, tick, owner, local)?;
         }
-        let base = BaseState {
-            enc: &epoch.enc,
-            db: &epoch.db,
-            ann: &epoch.ann,
-        };
-        let node = eval_node(&self.monoid, self.par, &base, interner, node_of, id, |n| {
-            &local[&n].node
-        })?;
+        let node = eval_node(
+            &self.monoid,
+            self.par,
+            &epoch.base,
+            interner,
+            node_of,
+            id,
+            |n| &local[&n].node,
+        )?;
         self.performed_add
             .fetch_add(node.add_ops, Ordering::Relaxed);
         self.performed_mul
@@ -534,7 +530,7 @@ where
     /// Prunes dead epochs from the registry and drops shared-cache
     /// entries no live epoch can ever hit again (their `(generation,
     /// stamp)` matches no surviving snapshot) — this is what actually
-    /// frees a retired epoch's copy-on-write matrices.
+    /// frees the plan nodes only a retired epoch could read.
     fn gc(&self) {
         let live: Vec<Arc<EpochState<M>>> = {
             let mut epochs = self.epochs.lock().unwrap();
@@ -840,11 +836,7 @@ where
         });
         // Seed the enqueue-validation registry with the construction
         // state's declared arities.
-        let declared: HashMap<Sym, usize> = master
-            .database()
-            .relations()
-            .map(|(sym, rel)| (sym, rel.arity()))
-            .collect();
+        let declared: HashMap<Sym, usize> = master.base().widths().collect();
         let shared = ServerShared {
             monoid,
             par,
@@ -1163,7 +1155,7 @@ where
     }
 
     /// Prunes retired epochs and the shared-cache entries only they
-    /// could hit — freeing their copy-on-write matrices. Runs
+    /// could hit. Runs
     /// automatically after every publication; exposed for tests and
     /// idle housekeeping.
     pub fn gc(&self) {

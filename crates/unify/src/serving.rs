@@ -1,9 +1,9 @@
-//! Multi-query serving sessions: one database, one encoded cache, many
-//! queries, interleaved updates.
+//! Multi-query serving sessions: one encoded database, many queries,
+//! interleaved updates.
 //!
 //! A [`ServingSession`] owns an annotated database (facts with
-//! 2-monoid annotations), its cached dictionary encoding
-//! ([`EncodedDb`]), and a **plan-node cache** keyed by the hash-consed
+//! 2-monoid annotations), stored once and already dictionary-encoded
+//! ([`BaseDb`]), and a **plan-node cache** keyed by the hash-consed
 //! [`PlanIr`] identities of [`crate::plan_ir`]. Evaluating a query
 //! lowers its elimination plan onto the shared IR and materialises
 //! only the nodes the cache does not already hold — so a batch of
@@ -31,12 +31,12 @@
 //! through the same two functions; the layers differ in cache policy.
 //!
 //! **Update model.** [`ServingSession::update_batch`] applies fact
-//! writes (a `0` annotation deletes), bumps the touched relations'
-//! dirty epochs, delta-refreshes the [`EncodedDb`] (only changed
-//! relations re-encode; novel domain values extend the shared
-//! dictionary once and surviving cached matrices are *translated*
-//! through the old→new code map — the code numbering moved, not the
-//! data), and then **delta-patches** the whole cached pipeline through
+//! writes (a `0` annotation deletes) to the [`BaseDb`] as point
+//! writes (novel domain values extend the shared dictionary once and
+//! surviving cached matrices are *translated* through the old→new code
+//! map — the code numbering moved, not the data), bumps the touched
+//! relations' dirty epochs, and then **delta-patches** the whole
+//! cached pipeline through
 //! the delta-indexed group refold: cached scan nodes take point
 //! writes, dirty `Project` nodes refold exactly their dirty Rule 1
 //! groups ([`Storage::group_rows_key`], per-group folds sequential so
@@ -62,10 +62,10 @@ use crate::fixpoint::{
 use crate::plan_ir::{lower, LoweredQuery, PlanExpr, PlanId, PlanIr};
 use crate::pool;
 use crate::storage::{
-    ColumnarRelation, CompressedAnn, CompressedColumnar, EncodedDb, MapRelation, Parallelism,
+    BaseDb, ColumnarRelation, CompressedAnn, CompressedColumnar, MapRelation, Parallelism,
     RefreshOutcome, Storage,
 };
-use hq_db::{Database, Fact, Interner, RowCode, Sym, Tuple, Value, ValueDict};
+use hq_db::{Fact, Interner, RowCode, Sym, Tuple, Value, ValueDict};
 use hq_monoid::TwoMonoid;
 use hq_query::{plan, NotHierarchical, Query, Var};
 use std::cmp::Reverse;
@@ -144,7 +144,8 @@ pub struct UpdateOutcome {
     /// interned — in particular for updates that merely re-populate a
     /// relation emptied by an earlier delete-only batch.
     pub dict_extensions: usize,
-    /// What the [`EncodedDb`] delta-refresh re-encoded.
+    /// What the batch did to the [`BaseDb`]: changed relations and
+    /// any dictionary extension.
     pub refresh: RefreshOutcome,
 }
 
@@ -270,29 +271,19 @@ const DEFAULT_PATCH_FRACTION: f64 = 0.5;
 /// A backend that can materialise serving-session scan nodes. The
 /// three engine backends implement it; all stay bit-identical.
 pub trait ServingBackend: Storage {
-    /// Whether this backend's scans read the session's [`EncodedDb`].
-    /// When `false` (the ordered-map oracle — tuples carry their
-    /// values directly), the session skips building and refreshing the
-    /// encoding entirely, and novel domain values do not clear the
-    /// node cache (there is no code space to move).
-    const USES_ENCODING: bool;
-    /// Materialises one scan node: relation `rel` keyed in ascending
-    /// variable order via the written-order permutation `positions`,
-    /// annotated by `ann` (called once per fact in sorted tuple
-    /// order). Columnar backends assemble from the cached codes of
-    /// `enc`; the ordered-map oracle reads `db` directly.
+    /// Materialises one scan node: relation `rel` of `base` keyed in
+    /// ascending variable order via the written-order permutation
+    /// `positions`. Columnar backends permute the stored codes; the
+    /// ordered-map oracle decodes the rows through the dictionary.
     ///
     /// # Errors
     /// Arity mismatches and duplicate keys, as in annotation.
-    #[allow(clippy::too_many_arguments)]
     fn scan(
-        enc: &EncodedDb,
-        db: &Database,
+        base: &BaseDb<Self::Ann>,
         interner: &Interner,
         rel: &str,
         positions: &[usize],
         vars: Vec<Var>,
-        ann: &mut dyn FnMut(Sym, &Tuple) -> Self::Ann,
     ) -> Result<Self, AnnotateError>;
 
     /// Overwrites the relation's schema labels. Shared plan nodes are
@@ -305,9 +296,10 @@ pub trait ServingBackend: Storage {
     /// novel-domain-value insert: `translation[old] == new` is the
     /// order-preserving code map from [`ValueDict::extend_with`], so
     /// remapped matrices stay sorted and the node's *data* is
-    /// untouched — only the code numbering moved. A no-op on the
-    /// ordered-map oracle (tuples carry their values directly).
-    fn translate_codes(&mut self, dict: &Arc<ValueDict>, translation: &[RowCode]);
+    /// untouched — only the code numbering moved. Returns whether the
+    /// node held codes to move: `false` on the ordered-map oracle,
+    /// whose tuples carry their values directly.
+    fn translate_codes(&mut self, dict: &Arc<ValueDict>, translation: &[RowCode]) -> bool;
 
     /// Whether eviction victims of this backend can be serialised to a
     /// spill segment and reloaded later ([`ServingSession::set_spill`]).
@@ -357,34 +349,25 @@ fn non_identity(positions: &[usize]) -> Option<&[usize]> {
 impl<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> ServingBackend
     for ColumnarRelation<K>
 {
-    const USES_ENCODING: bool = true;
-
     fn scan(
-        enc: &EncodedDb,
-        db: &Database,
+        base: &BaseDb<K>,
         interner: &Interner,
         rel: &str,
         positions: &[usize],
         vars: Vec<Var>,
-        mut ann: &mut dyn FnMut(Sym, &Tuple) -> K,
     ) -> Result<Self, AnnotateError> {
-        enc.encode_slot(
-            db,
-            interner,
-            rel,
-            vars,
-            non_identity(positions),
-            &mut ann,
-            |key| dup_fact(rel, positions, key, interner),
-        )
+        base.slot(interner, rel, vars, non_identity(positions), |key| {
+            dup_fact(rel, positions, key, interner)
+        })
     }
 
     fn relabel(&mut self, vars: Vec<Var>) {
         self.set_vars(vars);
     }
 
-    fn translate_codes(&mut self, dict: &Arc<ValueDict>, translation: &[RowCode]) {
+    fn translate_codes(&mut self, dict: &Arc<ValueDict>, translation: &[RowCode]) -> bool {
         self.remap_codes(dict, translation);
+        true
     }
 }
 
@@ -392,22 +375,19 @@ impl<K> ServingBackend for CompressedColumnar<K>
 where
     K: CompressedAnn + Clone + PartialEq + fmt::Debug + Send + Sync + 'static,
 {
-    const USES_ENCODING: bool = true;
     const SPILLABLE: bool = K::SPILLABLE;
 
     fn scan(
-        enc: &EncodedDb,
-        db: &Database,
+        base: &BaseDb<K>,
         interner: &Interner,
         rel: &str,
         positions: &[usize],
         vars: Vec<Var>,
-        ann: &mut dyn FnMut(Sym, &Tuple) -> K,
     ) -> Result<Self, AnnotateError> {
-        // Assemble the dense sorted matrix from the cached codes, then
+        // Assemble the dense sorted matrix from the stored codes, then
         // block-encode it — the same two-phase build as annotation.
         Ok(CompressedColumnar::from_columnar(ColumnarRelation::scan(
-            enc, db, interner, rel, positions, vars, ann,
+            base, interner, rel, positions, vars,
         )?))
     }
 
@@ -415,8 +395,9 @@ where
         self.set_vars(vars);
     }
 
-    fn translate_codes(&mut self, dict: &Arc<ValueDict>, translation: &[RowCode]) {
+    fn translate_codes(&mut self, dict: &Arc<ValueDict>, translation: &[RowCode]) -> bool {
         self.remap_codes(dict, translation);
+        true
     }
 
     fn spill(&self) -> Vec<u8> {
@@ -429,38 +410,25 @@ where
 }
 
 impl<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> ServingBackend for MapRelation<K> {
-    const USES_ENCODING: bool = false;
-
     fn scan(
-        _enc: &EncodedDb,
-        db: &Database,
+        base: &BaseDb<K>,
         interner: &Interner,
         rel: &str,
         positions: &[usize],
         vars: Vec<Var>,
-        ann: &mut dyn FnMut(Sym, &Tuple) -> K,
     ) -> Result<Self, AnnotateError> {
         let identity = non_identity(positions).is_none();
         let mut rows: Vec<(Tuple, K)> = Vec::new();
-        if let Some(sym) = interner.get(rel) {
-            if let Some(r) = db.relation(sym) {
-                if !r.is_empty() && r.arity() != positions.len() {
-                    return Err(AnnotateError::ArityMismatch {
-                        rel: rel.to_owned(),
-                        atom_arity: positions.len(),
-                        fact_arity: r.arity(),
-                    });
-                }
-                for t in r.iter() {
-                    let k = ann(sym, t);
-                    let key = if identity {
-                        t.clone()
-                    } else {
-                        t.project(positions)
-                    };
-                    rows.push((key, k));
-                }
+        for (t, k) in interner.get(rel).into_iter().flat_map(|sym| base.rows(sym)) {
+            if t.arity() != positions.len() {
+                return Err(AnnotateError::ArityMismatch {
+                    rel: rel.to_owned(),
+                    atom_arity: positions.len(),
+                    fact_arity: t.arity(),
+                });
             }
+            let key = if identity { t } else { t.project(positions) };
+            rows.push((key, k.clone()));
         }
         MapRelation::build_slots(vec![(vars, rows)])
             .map(|mut slots| slots.pop().expect("one slot in, one slot out"))
@@ -472,9 +440,8 @@ impl<K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static> ServingBackend f
         self.vars = vars;
     }
 
-    fn translate_codes(&mut self, _dict: &Arc<ValueDict>, _translation: &[RowCode]) {
-        // Tuples carry their values directly: there is no code space
-        // to move (and `USES_ENCODING` keeps this path unreached).
+    fn translate_codes(&mut self, _dict: &Arc<ValueDict>, _translation: &[RowCode]) -> bool {
+        false
     }
 }
 
@@ -573,15 +540,6 @@ pub(crate) struct Node<R: Storage> {
     pub(crate) fix: Option<FixpointRun<R::Ann>>,
 }
 
-/// The base state scans read: one consistent `(encoding, database,
-/// annotations)` triple — a session's live state or a server epoch's
-/// snapshot.
-pub(crate) struct BaseState<'a, E> {
-    pub(crate) enc: &'a EncodedDb,
-    pub(crate) db: &'a Database,
-    pub(crate) ann: &'a BTreeMap<Fact, E>,
-}
-
 /// The materialised inputs node `id` reads, which a caller must hold
 /// before [`eval_node`] runs: a fixpoint reads its validated base and
 /// edge scans. Fails only on a malformed fixpoint.
@@ -599,7 +557,8 @@ pub(crate) fn node_inputs<'p>(
 }
 
 /// The node evaluator of both serving layers: materialises node `id`
-/// over `base`, reading its [`node_inputs`] through `input` — Rule 1
+/// over `base` — a session's live store or a server epoch's copy —
+/// reading its [`node_inputs`] through `input` — Rule 1
 /// for `Project`, Rule 2 for `Join`, the semi-naive kernel for
 /// `Fixpoint`. Cache lookup, freshness and spill reload stay with the
 /// caller.
@@ -609,7 +568,7 @@ pub(crate) fn node_inputs<'p>(
 pub(crate) fn eval_node<'p, 'n, M, R>(
     monoid: &M,
     par: Parallelism,
-    base: &BaseState<'_, M::Elem>,
+    base: &BaseDb<M::Elem>,
     interner: &Interner,
     node_of: impl Fn(PlanId) -> &'p PlanExpr,
     id: PlanId,
@@ -623,13 +582,7 @@ where
     let rel = match node_of(id) {
         PlanExpr::Scan { rel, positions } => {
             let vars: Vec<Var> = (0..positions.len()).map(Var).collect();
-            let mut ann = |sym: Sym, t: &Tuple| -> M::Elem {
-                base.ann
-                    .get(&Fact::new(sym, t.clone()))
-                    .cloned()
-                    .expect("database and annotation map stay in sync")
-            };
-            R::scan(base.enc, base.db, interner, rel, positions, vars, &mut ann)?
+            R::scan(base, interner, rel, positions, vars)?
         }
         PlanExpr::Project { input: from, col } => {
             let input_rel = input(*from).rel.clone();
@@ -669,24 +622,22 @@ where
                 .into_iter()
                 .next()
                 .expect("one slot in, one slot out");
-            if R::USES_ENCODING {
-                let mut values: Vec<Value> = rows
-                    .iter()
-                    .flat_map(|(t, _)| t.values().iter().copied())
-                    .collect();
-                values.sort_unstable();
-                values.dedup();
-                let shared = base.enc.shared_dict();
-                let translation: Vec<RowCode> = values
-                    .iter()
-                    .map(|&v| {
-                        shared
-                            .code(v)
-                            .expect("accumulator values are instance values")
-                    })
-                    .collect();
-                rel.translate_codes(&shared, &translation);
-            }
+            let mut values: Vec<Value> = rows
+                .iter()
+                .flat_map(|(t, _)| t.values().iter().copied())
+                .collect();
+            values.sort_unstable();
+            values.dedup();
+            let shared = base.shared_dict();
+            let translation: Vec<RowCode> = values
+                .iter()
+                .map(|&v| {
+                    shared
+                        .code(v)
+                        .expect("accumulator values are instance values")
+                })
+                .collect();
+            rel.translate_codes(&shared, &translation);
             return Ok(Node {
                 rel,
                 add_ops: run.stats.add_ops,
@@ -749,13 +700,9 @@ where
 {
     monoid: M,
     par: Parallelism,
-    /// The current set database (support facts only: a `0` annotation
-    /// means absent).
-    db: Database,
-    /// Current annotations, keyed by fact.
-    ann: BTreeMap<Fact, M::Elem>,
-    /// The cached dictionary encoding, delta-refreshed on updates.
-    enc: EncodedDb,
+    /// The current annotated facts (support only: a `0` annotation
+    /// means absent), encoded once.
+    base: BaseDb<M::Elem>,
     /// The shared, hash-consed plan IR of every query seen so far.
     ir: PlanIr,
     /// Memoised lowerings, keyed by query *structure* ([`query_shape`])
@@ -834,52 +781,15 @@ where
         par: Parallelism,
     ) -> Result<Self, ServingError> {
         let facts: Vec<(Fact, M::Elem)> = facts.into_iter().collect();
-        // Same all-or-nothing arity validation as `update_batch`: the
-        // fresh-evaluation paths this session stays bit-identical to
-        // report errors rather than panic, so construction must too.
-        let mut declared: BTreeMap<Sym, usize> = BTreeMap::new();
-        for (fact, k) in &facts {
-            if monoid.is_zero(k) {
-                continue;
-            }
-            match declared.get(&fact.rel) {
-                Some(&arity) if arity != fact.tuple.arity() => {
-                    return Err(ServingError::Annotate(AnnotateError::ArityMismatch {
-                        rel: interner.resolve(fact.rel).to_owned(),
-                        atom_arity: arity,
-                        fact_arity: fact.tuple.arity(),
-                    }));
-                }
-                Some(_) => {}
-                None => {
-                    declared.insert(fact.rel, fact.tuple.arity());
-                }
-            }
-        }
-        let mut db = Database::new();
-        let mut ann = BTreeMap::new();
-        for (fact, k) in facts {
-            if monoid.is_zero(&k) {
-                db.remove(&fact);
-                ann.remove(&fact);
-            } else {
-                db.insert(fact.clone());
-                ann.insert(fact, k);
-            }
-        }
-        // The ordered-map oracle never reads the encoding: skip the
-        // instance-wide value sort and scatter-encode entirely.
-        let enc = if R::USES_ENCODING {
-            EncodedDb::new(&db)
-        } else {
-            EncodedDb::new(&Database::new())
-        };
+        // The same all-or-nothing arity validation as `update_batch`:
+        // the fresh-evaluation paths this session stays bit-identical
+        // to report errors rather than panic, so construction must too.
+        let mut base = BaseDb::default();
+        base.write_batch(interner, &facts, |k| monoid.is_zero(k))?;
         Ok(ServingSession {
             monoid,
             par,
-            db,
-            ann,
-            enc,
+            base,
             ir: PlanIr::new(),
             lowered: HashMap::new(),
             lower_hits: 0,
@@ -909,10 +819,7 @@ where
     /// exactly the input an independent fresh evaluation of the
     /// session's state would receive.
     pub fn facts(&self) -> Vec<(Fact, M::Elem)> {
-        self.ann
-            .iter()
-            .map(|(f, k)| (f.clone(), k.clone()))
-            .collect()
+        self.base.facts()
     }
 
     /// Total ⊕/⊗ applications actually executed so far (cache misses
@@ -1166,13 +1073,12 @@ where
     }
 
     /// Applies a batch of fact writes in order (later writes to the
-    /// same fact win), then repairs the caches **incrementally**:
-    /// touched relations get new dirty epochs, the [`EncodedDb`]
-    /// re-encodes only the changed relations, cached scan nodes take
-    /// point patches, and dirty cached intermediates are
-    /// **delta-patched in place** — `Project` nodes refold exactly their dirty Rule 1
-    /// groups, `Join` nodes re-derive exactly their dirty keys, with
-    /// recorded op counts maintained to fresh-evaluation-exact. A
+    /// same fact win) to the [`BaseDb`], then repairs the caches
+    /// **incrementally**: touched relations get new dirty epochs,
+    /// cached scan nodes take point patches, and dirty cached
+    /// intermediates are **delta-patched in place** — `Project` nodes
+    /// refold exactly their dirty Rule 1 groups, `Join` nodes re-derive
+    /// exactly their dirty keys, with recorded op counts maintained to fresh-evaluation-exact. A
     /// delta touching more than [`ServingSession::patch_fraction`] of
     /// a node's groups drops the node instead (lazy rebuild). Novel
     /// domain values extend the shared dictionary once and surviving
@@ -1187,73 +1093,34 @@ where
         interner: &Interner,
         updates: &[(Fact, M::Elem)],
     ) -> Result<UpdateOutcome, ServingError> {
-        // Validate every *insert* before touching any state — against
-        // the stored relation's declared arity (which persists even
-        // when all its facts were deleted) and against earlier inserts
-        // of the same batch declaring a brand-new relation — so the
-        // all-or-nothing contract holds and Database::declare can
-        // never panic mid-batch with writes already applied. Deletes
-        // are exempt: an arity-mismatched fact can never be stored, so
-        // deleting it is a no-op, exactly as when applied serially.
-        let mut declared: BTreeMap<Sym, usize> = BTreeMap::new();
-        for (fact, value) in updates {
-            if self.monoid.is_zero(value) {
-                continue;
-            }
-            let expected = self
-                .db
-                .relation(fact.rel)
-                .map(hq_db::Relation::arity)
-                .or_else(|| declared.get(&fact.rel).copied());
-            match expected {
-                Some(arity) if arity != fact.tuple.arity() => {
-                    return Err(ServingError::Annotate(AnnotateError::ArityMismatch {
-                        rel: interner.resolve(fact.rel).to_owned(),
-                        atom_arity: arity,
-                        fact_arity: fact.tuple.arity(),
-                    }));
-                }
-                Some(_) => {}
-                None => {
-                    declared.insert(fact.rel, fact.tuple.arity());
-                }
-            }
-        }
-        let mut touched: BTreeSet<String> = BTreeSet::new();
-        // Fact-space net movement per relation: first-touch old value
-        // vs last-write new value, intra-batch overwrites coalesced.
-        // This is what fixpoint patching consumes — it classifies the
-        // batch as pure-insert (patchable) or not (drop and rebuild)
-        // and extracts the inserted delta in value space.
+        // Fact-space net movement per relation: pre-batch value vs
+        // last-write new value, intra-batch overwrites coalesced. This
+        // is what fixpoint patching consumes — it classifies the batch
+        // as pure-insert (patchable) or not (drop and rebuild) and
+        // extracts the inserted delta in value space.
         let mut fact_changes: BTreeMap<Sym, BTreeMap<Tuple, Change<M::Elem>>> = BTreeMap::new();
         for (fact, value) in updates {
             let slot = fact_changes
                 .entry(fact.rel)
                 .or_default()
                 .entry(fact.tuple.clone())
-                .or_insert_with(|| (self.ann.get(fact).cloned(), None));
-            slot.1 = if self.monoid.is_zero(value) {
-                None
-            } else {
-                Some(value.clone())
-            };
-            let changed = if self.monoid.is_zero(value) {
-                // Arity-mismatched deletes are harmless no-ops here:
-                // Relation::remove matches by tuple and never declares.
-                let removed = self.db.remove(fact);
-                self.ann.remove(fact).is_some() || removed
-            } else {
-                let inserted = self.db.insert(fact.clone());
-                let replaced = self.ann.insert(fact.clone(), value.clone());
-                inserted || replaced.as_ref() != Some(value)
-            };
-            if changed {
-                touched.insert(interner.resolve(fact.rel).to_owned());
-            }
+                .or_insert_with(|| (self.base.get(fact).cloned(), None));
+            slot.1 = (!self.monoid.is_zero(value)).then(|| value.clone());
         }
-        if touched.is_empty() {
+        // Validates every insert before any write (all-or-nothing),
+        // then applies the batch and extends the dictionary once.
+        let monoid = &self.monoid;
+        let refresh = self
+            .base
+            .write_batch(interner, updates, |k| monoid.is_zero(k))?;
+        if refresh.changed.is_empty() {
             return Ok(UpdateOutcome::default());
         }
+        let touched: BTreeSet<String> = refresh
+            .changed
+            .iter()
+            .map(|&sym| interner.resolve(sym).to_owned())
+            .collect();
         for rel in fact_changes.values_mut() {
             rel.retain(|_, (old, new)| old != new);
         }
@@ -1261,15 +1128,6 @@ where
         for rel in &touched {
             self.rel_epoch.insert(rel.clone(), self.epoch);
         }
-        // Delta-refresh the encoding: only changed relations re-encode.
-        // (The ordered-map oracle never reads it — skip entirely, and
-        // since map tuples carry values directly there is no code
-        // space for novel values to move.)
-        let refresh = if R::USES_ENCODING {
-            self.enc.refresh(&self.db)
-        } else {
-            RefreshOutcome::default()
-        };
         let mut outcome = UpdateOutcome {
             touched: touched.iter().cloned().collect(),
             refresh,
@@ -1282,15 +1140,15 @@ where
             // instead of dropping them, so warm pipelines (including
             // ones over entirely unrelated relations) survive a
             // novel-value insert.
-            let dict = self.enc.shared_dict();
+            let dict = self.base.shared_dict();
             let translation = outcome
                 .refresh
                 .translation
                 .clone()
                 .expect("dict_extended implies a translation");
             for node in self.cache.values_mut() {
-                node.node.rel.translate_codes(&dict, &translation);
-                outcome.dict_extensions += 1;
+                let moved = node.node.rel.translate_codes(&dict, &translation);
+                outcome.dict_extensions += usize::from(moved);
             }
             // Spilled bytes are fixed in the *old* code space and, on
             // disk, cannot be translated: drop them (they would fail
@@ -1334,8 +1192,8 @@ where
                     // would (an arity mismatch).
                     let arity_moved = interner
                         .get(&rel)
-                        .and_then(|s| self.db.relation(s))
-                        .is_some_and(|r| r.arity() != positions.len());
+                        .and_then(|s| self.base.width(s))
+                        .is_some_and(|w| w != positions.len());
                     if arity_moved {
                         self.cache.remove(&id);
                         outcome.invalidated += 1;
@@ -1735,19 +1593,9 @@ where
         self.epoch
     }
 
-    /// The cached dictionary encoding of the current state.
-    pub(crate) fn encoded_db(&self) -> &EncodedDb {
-        &self.enc
-    }
-
-    /// The current set database.
-    pub(crate) fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// The current annotation map.
-    pub(crate) fn annotations(&self) -> &BTreeMap<Fact, M::Elem> {
-        &self.ann
+    /// The current annotated base facts.
+    pub(crate) fn base(&self) -> &BaseDb<M::Elem> {
+        &self.base
     }
 
     /// Iterates the materialised node cache — the export surface the
@@ -1902,7 +1750,7 @@ where
     fn reload_spilled(&mut self, id: PlanId) -> Option<CachedNode<R>> {
         let entry = *self.spilled.get(&id)?;
         let bytes = self.spill.as_mut()?.read(entry.offset, entry.len)?;
-        let rel = R::unspill(&bytes, &self.enc.shared_dict())?;
+        let rel = R::unspill(&bytes, &self.base.shared_dict())?;
         self.spill_reloads += 1;
         Some(CachedNode {
             node: Node {
@@ -1959,15 +1807,10 @@ where
         for input in node_inputs(|n| self.ir.node(n), id)? {
             self.ensure(input, interner)?;
         }
-        let base = BaseState {
-            enc: &self.enc,
-            db: &self.db,
-            ann: &self.ann,
-        };
         let node = eval_node(
             &self.monoid,
             self.par,
-            &base,
+            &self.base,
             interner,
             |n| self.ir.node(n),
             id,
@@ -1992,8 +1835,8 @@ where
 mod tests {
     use super::*;
     use crate::engine::{evaluate_encoded, evaluate_on, fact_rows};
-    use crate::storage::{Backend, Exec};
-    use hq_db::db_from_ints;
+    use crate::storage::{Backend, EncodedDb, Exec};
+    use hq_db::{db_from_ints, Database};
     use hq_monoid::{CountMonoid, ProbMonoid};
     use hq_query::parse_query;
 
@@ -2264,8 +2107,8 @@ mod tests {
 
     #[test]
     fn session_agrees_with_evaluate_encoded() {
-        // The columnar session's scan path is the EncodedDb slot
-        // assembly itself; pin the equivalence against the public
+        // The columnar session's scans and EncodedDb annotation share
+        // one slot assembly; pin the equivalence against the public
         // evaluate_encoded entry point over the same database.
         let (tid, i) = chain_tid();
         let mut db = Database::new();
@@ -2395,7 +2238,7 @@ mod tests {
     }
 
     #[test]
-    fn map_backend_skips_encoding_and_survives_novel_values_warm() {
+    fn map_backend_survives_novel_values_warm() {
         let (tid, i) = chain_tid();
         let mut session: ServingSession<ProbMonoid, MapRelation<f64>> =
             ServingSession::new(ProbMonoid, &i, tid.iter().cloned()).unwrap();
@@ -2404,16 +2247,15 @@ mod tests {
         session.query(&i, &q_e).unwrap();
         session.query(&i, &q_f).unwrap();
         let before = session.ops_performed();
-        // A novel-value insert into E: no code space on the map
-        // backend, so F's pipeline must stay warm (no wholesale clear).
+        // A novel-value insert into E extends the store's dictionary,
+        // but map nodes hold no codes: none is translated, and F's
+        // pipeline must stay warm (no wholesale clear).
         let e = i.get("E").unwrap();
         let out = session
             .update(&i, &Fact::new(e, Tuple::ints(&[500, 600])), 0.5)
             .unwrap();
-        assert!(
-            out.refresh.is_noop(),
-            "map backend never touches the encoding"
-        );
+        assert!(out.refresh.dict_extended);
+        assert_eq!(out.dict_extensions, 0, "map nodes hold no codes");
         assert!(session.cached_nodes() > 0, "cache survives novel values");
         session.query(&i, &q_f).unwrap();
         assert_eq!(session.ops_performed(), before, "F stayed warm");

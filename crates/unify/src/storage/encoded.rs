@@ -1,26 +1,28 @@
-//! Cached dictionary encodings: the substrate of batched multi-query
-//! serving.
+//! Dictionary-encoded base facts: the storage every serving layer
+//! reads, plus the fresh-evaluation encoding cache.
 //!
 //! Building a columnar annotated database is dominated by the
 //! instance-wide value sort and dictionary scatter-encode. Those
-//! depend only on the *database*, not on the query or the annotations
-//! — so when many queries are evaluated over one database, the work
-//! can be done once. [`EncodedDb`] memoises, per relation identity
-//! ([`Sym`]), the relation's row-major code matrix (written column
-//! order, sorted tuple order) over one shared [`ValueDict`] covering
-//! the whole database. [`EncodedDb::annotate`] then assembles a
-//! query's annotated slots by permuting cached `u32` codes — no value
-//! comparison, no dictionary build, no tuple materialisation.
+//! depend only on the *facts*, not on the query — so when many queries
+//! are evaluated over one database, the work can be done once. Both
+//! types here keep, per relation identity ([`Sym`]), a row-major code
+//! matrix (written column order, sorted tuple order) over one shared
+//! [`ValueDict`], and assemble a query atom's annotated slot by
+//! permuting cached `u32` codes — no value comparison, no dictionary
+//! build, no tuple materialisation:
 //!
-//! The encoding is no longer a throwaway snapshot: it records the
-//! [`Database::version`] of every relation it encoded, so staleness is
-//! detected **exactly** (any effective mutation, including interior
-//! same-size swaps, bumps the version) and [`EncodedDb::refresh`]
-//! re-encodes *only the relations that changed* — extending the shared
-//! dictionary in place (with a single remap of the untouched matrices)
-//! when an update introduced novel domain values. This is what lets a
-//! [`crate::serving::ServingSession`] keep its encoding warm across
-//! `update`/`update_batch` calls instead of rebuilding it.
+//! * [`BaseDb`] **is** the annotated database of a
+//!   [`crate::serving::ServingSession`] and of every
+//!   [`crate::server::Server`] epoch: one `(codes, annotations)` pair
+//!   per relation, written in place by [`BaseDb::write_batch`] (point
+//!   inserts, overwrites and removes; novel domain values extend the
+//!   shared dictionary once per batch, with one remap of every
+//!   matrix).
+//! * [`EncodedDb`] is a read-only encoding of a set [`Database`],
+//!   built once and used by [`crate::engine::evaluate_encoded`]. It
+//!   records the [`Database::version`] of every relation it encoded,
+//!   so a database mutated after the encoding was built is refused
+//!   exactly, in release builds too.
 //!
 //! Results are bit-identical to the uncached columnar path: codes are
 //! order-preserving whether the dictionary covers the whole database
@@ -30,9 +32,9 @@
 use super::columnar::ColumnarRelation;
 use super::DuplicateRow;
 use crate::annotated::{duplicate_error, AnnotateError, AnnotatedDb};
-use hq_db::{Database, Interner, RowCode, Sym, Tuple, Value, ValueDict};
+use hq_db::{Database, Fact, Interner, RowCode, Sym, Tuple, Value, ValueDict};
 use hq_query::{Query, Var};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -44,19 +46,17 @@ struct EncodedRel {
     len: usize,
     codes: Vec<RowCode>,
     /// The [`Database::version`] of the relation when these codes were
-    /// encoded — the per-relation dirty epoch the staleness guard and
-    /// [`EncodedDb::refresh`] compare against.
+    /// encoded — what the staleness guard compares against.
     version: u64,
 }
 
-/// What an [`EncodedDb::refresh`] call actually did.
+/// What one batch of writes did to a [`BaseDb`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RefreshOutcome {
-    /// Relations whose code matrices were re-encoded (their
-    /// [`Database::version`] had moved).
+    /// Relations some write of the batch changed, in symbol order.
     pub changed: Vec<Sym>,
     /// Whether novel domain values forced a dictionary extension (and
-    /// one remap of every cached matrix).
+    /// one remap of every stored matrix).
     pub dict_extended: bool,
     /// The old→new code map of the dictionary extension
     /// (`translation[old_code] == new_code`), present exactly when
@@ -68,17 +68,327 @@ pub struct RefreshOutcome {
     pub translation: Option<Arc<Vec<RowCode>>>,
 }
 
-impl RefreshOutcome {
-    /// `true` when the refresh found nothing to do.
-    pub fn is_noop(&self) -> bool {
-        self.changed.is_empty() && !self.dict_extended
+/// One stored relation: `len` rows of `width` codes each, sorted by
+/// code (the dictionary preserves order, so this is sorted tuple
+/// order), with one annotation per row. The width outlives the
+/// relation's last fact: a relation stays declared once written.
+#[derive(Debug, Clone)]
+struct BaseRel<E> {
+    width: usize,
+    codes: Vec<RowCode>,
+    anns: Vec<E>,
+}
+
+impl<E> BaseRel<E> {
+    fn row(&self, i: usize) -> &[RowCode] {
+        &self.codes[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Binary search for the row `key`: `Ok(row)` when stored, else
+    /// `Err(insertion point)`. Rows are counted by annotations, so
+    /// nullary relations (width 0, at most one row) work too.
+    fn find(&self, key: &[RowCode]) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.anns.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.row(mid).cmp(key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Equal => return Ok(mid),
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        Err(lo)
     }
 }
 
-/// A database's dictionary encoding, computed once, kept current with
-/// [`EncodedDb::refresh`], and reused by every query evaluated over
-/// that database (see [`crate::engine::evaluate_encoded`] and
-/// [`crate::serving::ServingSession`]).
+/// The annotated base facts of a serving session or server epoch,
+/// stored once and already encoded: per relation, a sorted code matrix
+/// and a parallel annotation column over one shared [`ValueDict`].
+/// Scans read it directly; listing its facts decodes it.
+#[derive(Debug, Clone)]
+pub struct BaseDb<E> {
+    dict: Arc<ValueDict>,
+    rels: BTreeMap<Sym, BaseRel<E>>,
+}
+
+impl<E> Default for BaseDb<E> {
+    fn default() -> Self {
+        BaseDb {
+            dict: Arc::default(),
+            rels: BTreeMap::new(),
+        }
+    }
+}
+
+impl<E: Clone + PartialEq> BaseDb<E> {
+    /// The shared dictionary handle — plan nodes assembled from this
+    /// store clone it so their matrices stay code-compatible.
+    pub(crate) fn shared_dict(&self) -> Arc<ValueDict> {
+        Arc::clone(&self.dict)
+    }
+
+    /// The declared width of `rel`: set by its first insert and kept
+    /// after its last fact is deleted. `None` for a relation never
+    /// written.
+    pub(crate) fn width(&self, rel: Sym) -> Option<usize> {
+        self.rels.get(&rel).map(|r| r.width)
+    }
+
+    /// Every declared relation with its width.
+    pub(crate) fn widths(&self) -> impl Iterator<Item = (Sym, usize)> + '_ {
+        self.rels.iter().map(|(&sym, r)| (sym, r.width))
+    }
+
+    /// The stored annotation of `fact`, if present.
+    pub(crate) fn get(&self, fact: &Fact) -> Option<&E> {
+        let rel = self.rels.get(&fact.rel)?;
+        let mut key = Vec::with_capacity(fact.tuple.arity());
+        if fact.tuple.arity() != rel.width || !self.dict.encode_into(&fact.tuple, &mut key) {
+            return None;
+        }
+        rel.find(&key).ok().map(|i| &rel.anns[i])
+    }
+
+    /// The stored facts of `rel` in sorted tuple order, decoded.
+    pub(crate) fn rows(&self, rel: Sym) -> impl Iterator<Item = (Tuple, &E)> + '_ {
+        self.rels.get(&rel).into_iter().flat_map(move |r| {
+            r.anns
+                .iter()
+                .enumerate()
+                .map(move |(i, e)| (self.dict.decode(r.row(i)), e))
+        })
+    }
+
+    /// Every stored `(fact, annotation)` pair in fact order, decoded.
+    pub(crate) fn facts(&self) -> Vec<(Fact, E)> {
+        self.rels
+            .keys()
+            .flat_map(|&sym| {
+                self.rows(sym)
+                    .map(move |(t, e)| (Fact::new(sym, t), e.clone()))
+            })
+            .collect()
+    }
+
+    /// Applies a batch of writes in order — a write whose annotation
+    /// `is_zero` deletes, any other inserts or overwrites; later
+    /// writes to the same fact win — and reports what changed.
+    ///
+    /// Each fact's final write lands as one point insert, overwrite or
+    /// remove in its relation's sorted vectors. Domain values of the
+    /// *post-batch* facts that the dictionary lacks extend it once,
+    /// order-preserving, with one remap of every stored matrix; a
+    /// value inserted and deleted within the batch extends nothing.
+    ///
+    /// # Errors
+    /// [`AnnotateError::ArityMismatch`] when an insert disagrees with
+    /// its relation's declared width, or with an earlier insert of the
+    /// same batch that declares a new relation. Validation precedes
+    /// every write, so a rejected batch changes nothing. Deletes are
+    /// exempt: an arity-mismatched fact can never be stored, so
+    /// deleting it is a no-op.
+    pub(crate) fn write_batch(
+        &mut self,
+        interner: &Interner,
+        writes: &[(Fact, E)],
+        is_zero: impl Fn(&E) -> bool,
+    ) -> Result<RefreshOutcome, AnnotateError> {
+        let mut declared: BTreeMap<Sym, usize> = BTreeMap::new();
+        for (fact, value) in writes {
+            if is_zero(value) {
+                continue;
+            }
+            let arity = fact.tuple.arity();
+            match self
+                .width(fact.rel)
+                .or_else(|| declared.get(&fact.rel).copied())
+            {
+                Some(width) => check_width(interner.resolve(fact.rel), width, arity)?,
+                None => {
+                    declared.insert(fact.rel, arity);
+                }
+            }
+        }
+        // Replay the writes against the store plus the batch so far: a
+        // relation changed when any single write moved a fact's value,
+        // and each fact ends at its last write.
+        let mut last: BTreeMap<&Fact, Option<&E>> = BTreeMap::new();
+        let mut changed: BTreeSet<Sym> = BTreeSet::new();
+        for (fact, value) in writes {
+            let new = (!is_zero(value)).then_some(value);
+            let current = match last.get(fact) {
+                Some(&v) => v,
+                None => self.get(fact),
+            };
+            if current != new {
+                changed.insert(fact.rel);
+            }
+            last.insert(fact, new);
+        }
+        if changed.is_empty() {
+            return Ok(RefreshOutcome::default());
+        }
+        for (rel, width) in declared {
+            self.rels.insert(
+                rel,
+                BaseRel {
+                    width,
+                    codes: Vec::new(),
+                    anns: Vec::new(),
+                },
+            );
+        }
+        let novel: Vec<Value> = last
+            .iter()
+            .filter(|(_, new)| new.is_some())
+            .flat_map(|(fact, _)| fact.tuple.values().iter().copied())
+            .filter(|&v| self.dict.code(v).is_none())
+            .collect();
+        let translation = if novel.is_empty() {
+            None
+        } else {
+            let (dict, translation) = self.dict.extend_with(novel);
+            for rel in self.rels.values_mut() {
+                for c in &mut rel.codes {
+                    *c = translation[*c as usize];
+                }
+            }
+            self.dict = Arc::new(dict);
+            Some(Arc::new(translation))
+        };
+        // `last` is in fact order, so each relation's writes arrive in
+        // ascending code order: inserts into an empty relation append.
+        let mut key = Vec::new();
+        for (fact, new) in last {
+            let Some(rel) = self.rels.get_mut(&fact.rel) else {
+                continue; // a delete in a relation never written
+            };
+            key.clear();
+            if fact.tuple.arity() != rel.width || !self.dict.encode_into(&fact.tuple, &mut key) {
+                continue; // a delete of a fact that cannot be stored
+            }
+            let w = rel.width;
+            match (rel.find(&key), new) {
+                (Ok(i), Some(e)) => rel.anns[i] = e.clone(),
+                (Ok(i), None) => {
+                    rel.codes.drain(i * w..(i + 1) * w);
+                    rel.anns.remove(i);
+                }
+                (Err(i), Some(e)) => {
+                    rel.codes.splice(i * w..i * w, key.iter().copied());
+                    rel.anns.insert(i, e.clone());
+                }
+                (Err(_), None) => {}
+            }
+        }
+        Ok(RefreshOutcome {
+            changed: changed.into_iter().collect(),
+            dict_extended: translation.is_some(),
+            translation,
+        })
+    }
+
+    /// Assembles one query atom's columnar slot from the stored codes
+    /// and annotations: relation `rel_name` keyed by `sorted_vars` via
+    /// the written-order permutation `positions` (`None` when it is
+    /// the identity). `dup` renders a duplicate key (repeated
+    /// variables in the atom) into the caller's error.
+    ///
+    /// # Errors
+    /// [`AnnotateError::ArityMismatch`] / the rendered duplicate.
+    pub(crate) fn slot(
+        &self,
+        interner: &Interner,
+        rel_name: &str,
+        sorted_vars: Vec<Var>,
+        positions: Option<&[usize]>,
+        dup: impl FnOnce(Tuple) -> AnnotateError,
+    ) -> Result<ColumnarRelation<E>, AnnotateError> {
+        match interner.get(rel_name).and_then(|s| self.rels.get(&s)) {
+            None => assemble_slot(&self.dict, sorted_vars, &[], Vec::new(), positions, dup),
+            Some(rel) => {
+                check_width(rel_name, sorted_vars.len(), rel.width)?;
+                let anns = rel.anns.clone();
+                assemble_slot(&self.dict, sorted_vars, &rel.codes, anns, positions, dup)
+            }
+        }
+    }
+}
+
+/// The arity check of every write and slot assembly.
+fn check_width(rel: &str, atom_arity: usize, fact_arity: usize) -> Result<(), AnnotateError> {
+    if atom_arity == fact_arity {
+        Ok(())
+    } else {
+        Err(AnnotateError::ArityMismatch {
+            rel: rel.to_owned(),
+            atom_arity,
+            fact_arity,
+        })
+    }
+}
+
+/// Builds a columnar slot keyed by `vars` from a relation's code
+/// matrix (row-major, written column order, rows sorted) and its
+/// annotation column. A non-identity `positions` reorders each row's
+/// columns, which breaks the sort: the rows are then argsorted by
+/// code (4-byte comparisons), like the uncached build path. A key
+/// occurring twice (an atom with repeated variables) is reported
+/// through `dup`, the same `DuplicateFact` the uncached path raises.
+fn assemble_slot<K>(
+    dict: &Arc<ValueDict>,
+    vars: Vec<Var>,
+    codes: &[RowCode],
+    anns: Vec<K>,
+    positions: Option<&[usize]>,
+    dup: impl FnOnce(Tuple) -> AnnotateError,
+) -> Result<ColumnarRelation<K>, AnnotateError> {
+    let width = vars.len();
+    let len = anns.len();
+    let (keys, anns) = match positions {
+        None => (codes.to_vec(), anns),
+        Some(positions) => {
+            let mut keys = Vec::with_capacity(codes.len());
+            for r in 0..len {
+                let row = &codes[r * width..(r + 1) * width];
+                for &p in positions {
+                    keys.push(row[p]);
+                }
+            }
+            let mut order: Vec<u32> = (0..len as u32).collect();
+            order.sort_by(|&a, &b| {
+                let (a, b) = (a as usize, b as usize);
+                keys[a * width..(a + 1) * width].cmp(&keys[b * width..(b + 1) * width])
+            });
+            let mut new_keys = Vec::with_capacity(keys.len());
+            let mut old: Vec<Option<K>> = anns.into_iter().map(Some).collect();
+            let mut new_anns = Vec::with_capacity(len);
+            for &i in &order {
+                let i = i as usize;
+                new_keys.extend_from_slice(&keys[i * width..(i + 1) * width]);
+                new_anns.push(old[i].take().expect("each row moved once"));
+            }
+            (new_keys, new_anns)
+        }
+    };
+    if let Some(i) =
+        (1..len).find(|&i| keys[(i - 1) * width..i * width] == keys[i * width..(i + 1) * width])
+    {
+        return Err(dup(dict.decode(&keys[i * width..(i + 1) * width])));
+    }
+    Ok(ColumnarRelation {
+        vars,
+        width,
+        len,
+        dict: Arc::clone(dict),
+        keys,
+        anns,
+    })
+}
+
+/// A set database's dictionary encoding, computed once and reused by
+/// every query evaluated over that database (see
+/// [`crate::engine::evaluate_encoded`]).
 #[derive(Debug, Clone)]
 pub struct EncodedDb {
     dict: Arc<ValueDict>,
@@ -105,85 +415,6 @@ impl EncodedDb {
     /// The shared dictionary (tests and diagnostics).
     pub fn dict(&self) -> &ValueDict {
         &self.dict
-    }
-
-    /// The shared dictionary handle — derived caches that assemble
-    /// columnar slots from this encoding (the serving layer) clone it
-    /// so their matrices and the encoding stay code-compatible.
-    pub(crate) fn shared_dict(&self) -> Arc<ValueDict> {
-        Arc::clone(&self.dict)
-    }
-
-    /// The per-relation dirty epoch this encoding is valid at: the
-    /// [`Database::version`] recorded when `rel`'s codes were last
-    /// (re-)encoded. `None` for relations the encoding has never seen.
-    pub fn encoded_version(&self, rel: Sym) -> Option<u64> {
-        self.rels.get(&rel).map(|e| e.version)
-    }
-
-    /// Brings the encoding up to date with `db`, re-encoding **only**
-    /// the relations whose [`Database::version`] moved since they were
-    /// last encoded (plus relations the encoding has never seen). When
-    /// the changed relations carry domain values outside the shared
-    /// dictionary, the dictionary is extended once — order-preserving,
-    /// so code comparisons keep matching value comparisons — and every
-    /// *unchanged* matrix is remapped through the old→new translation
-    /// in one linear pass.
-    ///
-    /// Cost: `O(Σ |changed relations| + dict_extended · Σ |all codes|)`
-    /// — a function of the dirty set, not of the database, in the
-    /// common no-novel-values case.
-    pub fn refresh(&mut self, db: &Database) -> RefreshOutcome {
-        let stale: Vec<Sym> = db
-            .relations()
-            .filter(|&(sym, _)| self.encoded_version(sym) != Some(db.version(sym)))
-            .map(|(sym, _)| sym)
-            .collect();
-        if stale.is_empty() {
-            return RefreshOutcome::default();
-        }
-        // Novel values can only come from stale relations.
-        let mut novel: std::collections::BTreeSet<Value> = std::collections::BTreeSet::new();
-        for &sym in &stale {
-            let rel = db.relation(sym).expect("stale relation exists");
-            for t in rel.iter() {
-                novel.extend(
-                    t.values()
-                        .iter()
-                        .copied()
-                        .filter(|v| self.dict.code(*v).is_none()),
-                );
-            }
-        }
-        let dict_extended = !novel.is_empty();
-        let mut kept_translation = None;
-        if dict_extended {
-            let (dict, translation) = self.dict.extend_with(novel);
-            // Remap only the *unchanged* matrices: the stale ones are
-            // re-encoded from scratch right below.
-            for (sym, enc) in self.rels.iter_mut() {
-                if stale.contains(sym) {
-                    continue;
-                }
-                for c in &mut enc.codes {
-                    *c = translation[*c as usize];
-                }
-            }
-            self.dict = Arc::new(dict);
-            // Surface the old→new map so derived code-matrix caches
-            // (serving plan nodes) can remap instead of rebuilding.
-            kept_translation = Some(Arc::new(translation));
-        }
-        for &sym in &stale {
-            let rel = db.relation(sym).expect("stale relation exists");
-            self.rels
-                .insert(sym, encode_rel(&self.dict, rel, db.version(sym)));
-        }
-        RefreshOutcome {
-            changed: stale,
-            dict_extended,
-            translation: kept_translation,
-        }
     }
 
     /// Exact staleness guard: the encoding records each relation's
@@ -221,120 +452,10 @@ impl EncodedDb {
         }
     }
 
-    /// Assembles one query atom's K-annotated columnar slot from the
-    /// cached codes: the shared entry point of [`EncodedDb::annotate`]
-    /// and the serving session's plan-node scans. `sorted_vars` is the
-    /// atom's schema in ascending variable-id order and `positions`
-    /// the written-order column permutation (`None` when they
-    /// coincide); `ann` is called once per fact in the relation's
-    /// sorted tuple order. `dup` renders a duplicate key (repeated
-    /// variables in the atom) into the caller's error.
-    ///
-    /// # Errors
-    /// [`AnnotateError::ArityMismatch`] / the rendered duplicate.
-    ///
-    /// # Panics
-    /// Panics when the relation's [`Database::version`] moved since it
-    /// was encoded (see [`EncodedDb::refresh`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn encode_slot<K, F>(
-        &self,
-        db: &Database,
-        interner: &Interner,
-        rel_name: &str,
-        sorted_vars: Vec<Var>,
-        positions: Option<&[usize]>,
-        ann: &mut F,
-        dup: impl FnOnce(Tuple) -> AnnotateError,
-    ) -> Result<ColumnarRelation<K>, AnnotateError>
-    where
-        K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static,
-        F: FnMut(Sym, &Tuple) -> K,
-    {
-        let width = sorted_vars.len();
-        let cached = interner
-            .get(rel_name)
-            .and_then(|s| self.rels.get(&s).map(|e| (s, e)));
-        let (keys, anns): (Vec<RowCode>, Vec<K>) = match cached {
-            None => {
-                // The relation holds no facts — but if the *database*
-                // has grown one behind the encoding's back, silence
-                // would serve stale emptiness.
-                if let Some(sym) = interner.get(rel_name) {
-                    assert!(
-                        db.relation(sym).is_none_or(|r| r.is_empty()),
-                        "relation {sym:?} appeared after the encoding was built — refresh or rebuild the encoding"
-                    );
-                }
-                (Vec::new(), Vec::new())
-            }
-            Some((sym, enc)) => {
-                if enc.width != width {
-                    return Err(AnnotateError::ArityMismatch {
-                        rel: rel_name.to_owned(),
-                        atom_arity: width,
-                        fact_arity: enc.width,
-                    });
-                }
-                self.check_fresh(sym, enc, db);
-                let rel = db.relation(sym).expect("encoded relation exists");
-                let anns: Vec<K> = rel.iter().map(|t| ann(sym, t)).collect();
-                match positions {
-                    // Written order is sorted-var order and codes are
-                    // value-ordered: cached rows are already sorted.
-                    None => (enc.codes.clone(), anns),
-                    Some(positions) => {
-                        let mut keys = Vec::with_capacity(enc.codes.len());
-                        for r in 0..enc.len {
-                            let row = &enc.codes[r * width..(r + 1) * width];
-                            for &p in positions {
-                                keys.push(row[p]);
-                            }
-                        }
-                        // Reordered columns break the sort: argsort by
-                        // code rows (4-byte comparisons), like the
-                        // uncached build path.
-                        let mut order: Vec<u32> = (0..enc.len as u32).collect();
-                        order.sort_by(|&a, &b| {
-                            let (a, b) = (a as usize, b as usize);
-                            keys[a * width..(a + 1) * width].cmp(&keys[b * width..(b + 1) * width])
-                        });
-                        let mut new_keys = Vec::with_capacity(keys.len());
-                        let mut old: Vec<Option<K>> = anns.into_iter().map(Some).collect();
-                        let mut new_anns = Vec::with_capacity(old.len());
-                        for &i in &order {
-                            let i = i as usize;
-                            new_keys.extend_from_slice(&keys[i * width..(i + 1) * width]);
-                            new_anns.push(old[i].take().expect("each row moved once"));
-                        }
-                        (new_keys, new_anns)
-                    }
-                }
-            }
-        };
-        // Atoms with repeated variables can key two distinct facts
-        // identically — the same DuplicateFact the uncached path
-        // reports.
-        if let Some(i) = (1..anns.len())
-            .find(|&i| keys[(i - 1) * width..i * width] == keys[i * width..(i + 1) * width])
-        {
-            return Err(dup(self.dict.decode(&keys[i * width..(i + 1) * width])));
-        }
-        let len = anns.len();
-        Ok(ColumnarRelation {
-            vars: sorted_vars,
-            width,
-            len,
-            dict: Arc::clone(&self.dict),
-            keys,
-            anns,
-        })
-    }
-
     /// Assembles the K-annotated columnar database for `q` from the
     /// cached codes. `ann` is called once per fact, in each relation's
     /// sorted tuple order, to supply its annotation. `db` must be the
-    /// database this encoding was built from (and refreshed against).
+    /// database this encoding was built from.
     ///
     /// # Errors
     /// [`AnnotateError::ArityMismatch`] when a query atom disagrees
@@ -343,11 +464,10 @@ impl EncodedDb {
     ///
     /// # Panics
     /// Panics when any queried relation's [`Database::version`] moved
-    /// since it was encoded: mutating the database requires an
-    /// [`EncodedDb::refresh`] (or rebuild) first. The version counters
-    /// make the detection exact — interior same-size mutations that the
-    /// old content spot checks could miss are caught in release builds
-    /// too.
+    /// since it was encoded: mutating the database requires a rebuild
+    /// of the encoding first. The version counters make the detection
+    /// exact — interior same-size mutations that content spot checks
+    /// could miss are caught in release builds too.
     pub fn annotate<K, F>(
         &self,
         db: &Database,
@@ -359,7 +479,6 @@ impl EncodedDb {
         K: Clone + PartialEq + fmt::Debug + Send + Sync + 'static,
         F: FnMut(Sym, &Tuple) -> K,
     {
-        let mut slots = Vec::with_capacity(q.atom_count());
         let mut slot_vars: Vec<Vec<Var>> = Vec::with_capacity(q.atom_count());
         let mut slot_positions: Vec<Option<Vec<usize>>> = Vec::with_capacity(q.atom_count());
         for atom in q.atoms() {
@@ -367,21 +486,43 @@ impl EncodedDb {
             slot_vars.push(sorted);
             slot_positions.push(positions);
         }
+        let mut slots = Vec::with_capacity(q.atom_count());
         for (slot, atom) in q.atoms().iter().enumerate() {
-            let rel = self.encode_slot(
-                db,
-                interner,
-                &atom.rel,
+            let sym = interner.get(&atom.rel);
+            let (codes, anns): (&[RowCode], Vec<K>) = match sym
+                .and_then(|s| self.rels.get(&s).map(|e| (s, e)))
+            {
+                None => {
+                    // The relation holds no facts — but if the
+                    // *database* has grown one behind the
+                    // encoding's back, silence would serve stale
+                    // emptiness.
+                    if let Some(sym) = sym {
+                        assert!(
+                                db.relation(sym).is_none_or(|r| r.is_empty()),
+                                "relation {sym:?} appeared after the encoding was built — refresh or rebuild the encoding"
+                            );
+                    }
+                    (&[], Vec::new())
+                }
+                Some((sym, enc)) => {
+                    check_width(&atom.rel, slot_vars[slot].len(), enc.width)?;
+                    self.check_fresh(sym, enc, db);
+                    let rel = db.relation(sym).expect("encoded relation exists");
+                    (&enc.codes, rel.iter().map(|t| ann(sym, t)).collect())
+                }
+            };
+            let rel = assemble_slot(
+                &self.dict,
                 slot_vars[slot].clone(),
+                codes,
+                anns,
                 slot_positions[slot].as_deref(),
-                &mut ann,
                 |key| duplicate_error(q, interner, &slot_positions, DuplicateRow { slot, key }),
             )?;
-            slots.push(rel);
+            slots.push(Some(rel));
         }
-        Ok(AnnotatedDb {
-            slots: slots.into_iter().map(Some).collect(),
-        })
+        Ok(AnnotatedDb { slots })
     }
 }
 
@@ -482,56 +623,102 @@ mod tests {
         let _ = enc.annotate::<u64, _>(&db, &q, &i, |_, _| 1);
     }
 
-    #[test]
-    fn refresh_re_encodes_only_changed_relations() {
-        let (mut db, i) = fig1();
-        let mut enc = EncodedDb::new(&db);
-        assert!(enc.refresh(&db).is_noop(), "fresh encoding needs no work");
-        let s = i.get("S").unwrap();
-        let r = i.get("R").unwrap();
-        let v_r = enc.encoded_version(r).unwrap();
-        db.insert_tuple(s, Tuple::ints(&[2, 2]));
-        let out = enc.refresh(&db);
-        assert_eq!(out.changed, vec![s]);
-        assert!(!out.dict_extended, "values 2 already in the dictionary");
-        assert_eq!(enc.encoded_version(r), Some(v_r), "R untouched");
-        assert_eq!(enc.encoded_version(s), Some(db.version(s)));
-        // The refreshed encoding annotates like a from-scratch build.
-        let q = Query::new(&[("S", &["A", "C"])]).unwrap();
-        let got = enc.annotate::<u64, _>(&db, &q, &i, |_, _| 1).unwrap();
-        let want = EncodedDb::new(&db)
-            .annotate::<u64, _>(&db, &q, &i, |_, _| 1)
+    type Writes = Vec<(hq_db::Fact, u64)>;
+
+    fn write(base: &mut BaseDb<u64>, i: &Interner, writes: &Writes) -> RefreshOutcome {
+        base.write_batch(i, writes, |&k| k == 0).unwrap()
+    }
+
+    fn fig1_base() -> (BaseDb<u64>, Database, Interner) {
+        let (db, i) = fig1();
+        let mut base = BaseDb::default();
+        let facts: Writes = db.facts().into_iter().map(|f| (f, 1)).collect();
+        write(&mut base, &i, &facts);
+        (base, db, i)
+    }
+
+    /// Every slot `base` assembles for `q` equals a from-scratch
+    /// encoding of the set database `db` (all annotations 1).
+    fn assert_matches_rebuild(base: &BaseDb<u64>, db: &Database, i: &Interner, q: &Query) {
+        let want = EncodedDb::new(db)
+            .annotate::<u64, _>(db, q, i, |_, _| 1)
             .unwrap();
-        assert_eq!(
-            got.slots[0].as_ref().unwrap().rows(),
-            want.slots[0].as_ref().unwrap().rows()
-        );
+        for (atom, w) in q.atoms().iter().zip(&want.slots) {
+            let (vars, positions) = atom.key_positions();
+            let got = base
+                .slot(i, &atom.rel, vars, positions.as_deref(), |_| unreachable!())
+                .unwrap();
+            assert_eq!(got.rows(), w.as_ref().unwrap().rows(), "{}", atom.rel);
+        }
     }
 
     #[test]
-    fn refresh_extends_dictionary_for_novel_values() {
-        let (mut db, i) = fig1();
-        let mut enc = EncodedDb::new(&db);
-        let before = enc.dict().len();
-        let r = i.get("R").unwrap();
-        // 777 is outside the original domain: the shared dictionary
-        // must grow and *every* cached matrix stay consistent.
-        db.insert_tuple(r, Tuple::ints(&[1, 777]));
-        let out = enc.refresh(&db);
+    fn base_write_changes_only_touched_relations() {
+        let (mut base, mut db, i) = fig1_base();
+        assert_matches_rebuild(&base, &db, &i, &example_query());
+        let (r, s) = (i.get("R").unwrap(), i.get("S").unwrap());
+        let r_before: Vec<(Tuple, u64)> = base.rows(r).map(|(t, &k)| (t, k)).collect();
+        let fact = hq_db::Fact::new(s, Tuple::ints(&[2, 2]));
+        let out = write(&mut base, &i, &vec![(fact.clone(), 1)]);
+        assert_eq!(out.changed, vec![s]);
+        assert!(!out.dict_extended, "value 2 already in the dictionary");
+        let r_after: Vec<(Tuple, u64)> = base.rows(r).map(|(t, &k)| (t, k)).collect();
+        assert_eq!(r_after, r_before, "R untouched");
+        db.insert(fact.clone());
+        assert_matches_rebuild(&base, &db, &i, &example_query());
+        // Rewriting the stored value changes nothing.
+        let out = write(&mut base, &i, &vec![(fact, 1)]);
+        assert_eq!(out, RefreshOutcome::default());
+    }
+
+    #[test]
+    fn base_write_extends_dictionary_once_per_batch() {
+        let (mut base, mut db, i) = fig1_base();
+        let before = base.shared_dict().len();
+        let (r, s) = (i.get("R").unwrap(), i.get("S").unwrap());
+        // 777 and 778 are outside the original domain: one batch
+        // writing both grows the shared dictionary once, and *every*
+        // stored matrix stays consistent.
+        let batch: Writes = vec![
+            (hq_db::Fact::new(r, Tuple::ints(&[1, 777])), 1),
+            (hq_db::Fact::new(s, Tuple::ints(&[1, 778])), 1),
+        ];
+        let out = write(&mut base, &i, &batch);
         assert!(out.dict_extended);
-        assert!(enc.dict().len() > before);
-        let q = example_query();
-        let got = enc.annotate::<u64, _>(&db, &q, &i, |_, _| 1).unwrap();
-        let want = EncodedDb::new(&db)
-            .annotate::<u64, _>(&db, &q, &i, |_, _| 1)
-            .unwrap();
-        for (g, w) in got.slots.iter().zip(&want.slots) {
-            assert_eq!(
-                g.as_ref().unwrap().rows(),
-                w.as_ref().unwrap().rows(),
-                "refreshed encoding must equal a rebuild"
-            );
+        assert_eq!(out.changed, vec![r, s]);
+        assert_eq!(out.translation.as_ref().map(|t| t.len()), Some(before));
+        assert_eq!(base.shared_dict().len(), before + 2);
+        for (f, _) in &batch {
+            db.insert(f.clone());
         }
+        assert_matches_rebuild(&base, &db, &i, &example_query());
+    }
+
+    #[test]
+    fn novel_value_inserted_and_deleted_in_one_batch_extends_nothing() {
+        let (mut base, db, i) = fig1_base();
+        let before = base.shared_dict();
+        let r = i.get("R").unwrap();
+        let fact = hq_db::Fact::new(r, Tuple::ints(&[1, 999]));
+        let out = write(&mut base, &i, &vec![(fact.clone(), 1), (fact, 0)]);
+        assert!(!out.dict_extended, "{out:?}");
+        assert_eq!(base.shared_dict(), before);
+        assert_matches_rebuild(&base, &db, &i, &example_query());
+    }
+
+    #[test]
+    fn width_survives_deleting_the_last_fact() {
+        let (mut base, _, i) = fig1_base();
+        let r = i.get("R").unwrap();
+        let only = hq_db::Fact::new(r, Tuple::ints(&[1, 5]));
+        write(&mut base, &i, &vec![(only, 0)]);
+        assert_eq!(base.rows(r).count(), 0);
+        assert_eq!(base.width(r), Some(2));
+        let wide = hq_db::Fact::new(r, Tuple::ints(&[1, 2, 3]));
+        let err = base.write_batch(&i, &[(wide, 1)], |&k| k == 0);
+        assert!(matches!(err, Err(AnnotateError::ArityMismatch { .. })));
+        let err = base.slot(&i, "R", vec![Var(0)], None, |_| unreachable!());
+        assert!(matches!(err, Err(AnnotateError::ArityMismatch { .. })));
     }
 
     #[test]

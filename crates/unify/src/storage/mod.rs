@@ -29,9 +29,10 @@
 //! `differential_parallel` suites pin down. [`Exec`] bundles the two
 //! run-time choices, layout and degree, that every front end takes.
 //!
-//! [`EncodedDb`] additionally caches a database's dictionary encoding
-//! so repeated queries over one database skip the columnar build's
-//! dominant cost (batched multi-query serving).
+//! [`BaseDb`] holds the annotated base facts of the serving layers
+//! already dictionary-encoded, and [`EncodedDb`] caches a set
+//! database's encoding for fresh evaluation, so repeated queries over
+//! one database skip the columnar build's dominant cost.
 
 mod columnar;
 mod compressed;
@@ -40,7 +41,7 @@ mod map;
 
 pub use columnar::{BorrowedSlot, ColumnarRelation};
 pub use compressed::{CompressedAnn, CompressedBuilder, CompressedColumnar};
-pub use encoded::{EncodedDb, RefreshOutcome};
+pub use encoded::{BaseDb, EncodedDb, RefreshOutcome};
 pub use map::MapRelation;
 
 use crate::engine::EngineStats;
