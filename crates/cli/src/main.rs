@@ -18,7 +18,10 @@
 //! worker threads (every thread count produces bit-identical answers
 //! too). The compressed tier keeps block-encoded matrices resident
 //! and, in serve mode, can spill evicted plan nodes to disk
-//! (`--spill`).
+//! (`--spill`). The serving commands (`hq pqe --mode incremental|serve`
+//! and `hq serve`) match `--backend` once to a storage type and run
+//! one generic session or server over it, on every tier at the
+//! `--threads` degree.
 
 use hq_arith::Rational;
 use hq_db::text::parse_database;
@@ -30,7 +33,11 @@ use hq_unify::pqe::PqeSession;
 use hq_unify::script::{
     parse_command, parse_script, render_command, strip_comment, ScriptCommand, UpdateAction,
 };
-use hq_unify::{bsm, pqe, shapley, Backend, Exec, Parallelism};
+use hq_unify::{
+    bsm, pqe, shapley, Backend, ColumnarRelation, CompressedColumnar, Exec, MapRelation,
+    Parallelism, ServingBackend,
+};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 mod args;
@@ -180,6 +187,21 @@ pub(crate) fn load_db(
     Ok((parsed.database, parsed.weights))
 }
 
+/// Loads a tuple-independent database: every fact of `path` with its
+/// weight, a fact written without one at probability 1.
+pub(crate) fn load_tid(path: &str, interner: &mut Interner) -> Result<Vec<(Fact, f64)>, String> {
+    let (db, weights) = load_db(path, interner)?;
+    let weighted: BTreeMap<&Fact, f64> = weights.iter().map(|(f, w)| (f, *w)).collect();
+    Ok(db
+        .facts()
+        .into_iter()
+        .map(|f| {
+            let p = weighted.get(&f).copied().unwrap_or(1.0);
+            (f, p)
+        })
+        .collect())
+}
+
 fn cmd_check(rest: &[String]) -> Result<String, String> {
     let Some(src) = rest.first() else {
         return Err("check: expected a query argument".into());
@@ -235,15 +257,7 @@ fn cmd_pqe(args: &Args) -> Result<String, String> {
     let backend = backend_arg(args)?;
     let par = threads_arg(args)?;
     let mut interner = Interner::new();
-    let (db, weights) = load_db(args.require("db")?, &mut interner)?;
-    // Facts without explicit weights default to probability 1.
-    let mut tid: Vec<(Fact, f64)> = Vec::new();
-    let weighted: std::collections::BTreeMap<&Fact, f64> =
-        weights.iter().map(|(f, w)| (f, *w)).collect();
-    for f in db.facts() {
-        let p = weighted.get(&f).copied().unwrap_or(1.0);
-        tid.push((f, p));
-    }
+    let tid = load_tid(args.require("db")?, &mut interner)?;
     // The plan cache only exists in serve mode: reject the knobs
     // everywhere else rather than silently ignoring them.
     if args.get("cache-rows").is_some() && args.get("mode") != Some("serve") {
@@ -253,13 +267,18 @@ fn cmd_pqe(args: &Args) -> Result<String, String> {
         return Err("--spill requires --mode serve".into());
     }
     match args.get("mode") {
-        Some("incremental") => {
-            let q = parse_query_arg(args.require("query")?)?;
-            return cmd_pqe_incremental(args, &q, &mut interner, &tid, backend, par);
-        }
-        // Serve mode takes its queries from the script, not --query.
-        Some("serve") => {
-            return cmd_pqe_serve(args, &mut interner, &tid, backend, par);
+        Some(mode @ ("incremental" | "serve")) => {
+            return match backend {
+                Backend::Map => {
+                    cmd_pqe_mode::<MapRelation<f64>>(args, mode, &mut interner, &tid, par)
+                }
+                Backend::Columnar => {
+                    cmd_pqe_mode::<ColumnarRelation<f64>>(args, mode, &mut interner, &tid, par)
+                }
+                Backend::Compressed => {
+                    cmd_pqe_mode::<CompressedColumnar<f64>>(args, mode, &mut interner, &tid, par)
+                }
+            };
         }
         Some(other) => {
             return Err(format!(
@@ -297,105 +316,21 @@ fn cmd_pqe(args: &Args) -> Result<String, String> {
     }
 }
 
-/// A one-database PQE serving session on the storage tier selected by
-/// `--backend` and `--threads`. Serve mode replays a mixed script
-/// against it; incremental mode is the same session with one
-/// registered query.
-enum Session {
-    Map(PqeSession<hq_unify::MapRelation<f64>>),
-    Columnar(PqeSession),
-    Compressed(PqeSession<hq_unify::CompressedColumnar<f64>>),
-}
-
-/// Forwards one accessor through the three session variants.
-macro_rules! on_session {
-    ($session:expr, $s:ident => $body:expr) => {
-        match $session {
-            Session::Map($s) => $body,
-            Session::Columnar($s) => $body,
-            Session::Compressed($s) => $body,
-        }
-    };
-}
-
-impl Session {
-    fn open(
-        interner: &Interner,
-        tid: &[(Fact, f64)],
-        backend: Backend,
-        par: Parallelism,
-    ) -> Result<Session, String> {
-        Ok(match backend {
-            Backend::Map => {
-                Session::Map(PqeSession::new(interner, tid).map_err(|e| e.to_string())?)
-            }
-            Backend::Columnar => Session::Columnar(
-                PqeSession::with_parallelism(interner, tid, par).map_err(|e| e.to_string())?,
-            ),
-            // The compressed kernels are sequential; the thread count
-            // only affects the worker pool the columnar layout shards
-            // over.
-            Backend::Compressed => {
-                Session::Compressed(PqeSession::new(interner, tid).map_err(|e| e.to_string())?)
-            }
-        })
+/// `hq pqe --mode incremental|serve` on the storage tier `R`: both
+/// modes drive one [`PqeSession`] at the `--threads` degree.
+fn cmd_pqe_mode<R: ServingBackend<Ann = f64>>(
+    args: &Args,
+    mode: &str,
+    interner: &mut Interner,
+    tid: &[(Fact, f64)],
+    par: Parallelism,
+) -> Result<String, String> {
+    if mode == "serve" {
+        // Serve mode takes its queries from the script, not --query.
+        return cmd_pqe_serve::<R>(args, interner, tid, par);
     }
-
-    fn query(
-        &mut self,
-        i: &Interner,
-        q: &hq_query::Query,
-    ) -> Result<(f64, hq_unify::EngineStats), String> {
-        on_session!(self, s => s.query(i, q)).map_err(|e| e.to_string())
-    }
-    fn reachability(
-        &mut self,
-        i: &Interner,
-        rel: &str,
-        src: Option<hq_db::Value>,
-        dst: Option<hq_db::Value>,
-    ) -> Result<(f64, hq_unify::EngineStats), String> {
-        on_session!(self, s => s.reachability(i, rel, src, dst)).map_err(|e| e.to_string())
-    }
-    fn update_batch(&mut self, i: &Interner, batch: &[(Fact, f64)]) -> Result<(), String> {
-        on_session!(self, s => s.update_batch(i, batch).map(|_| ())).map_err(|e| e.to_string())
-    }
-    fn ops_performed(&self) -> u64 {
-        on_session!(self, s => s.session().ops_performed())
-    }
-    fn cached_nodes(&self) -> usize {
-        on_session!(self, s => s.session().cached_nodes())
-    }
-    fn set_cache_budget(&mut self, budget: usize) {
-        on_session!(self, s => s.set_cache_budget(Some(budget)));
-    }
-    fn set_spill(&mut self, enabled: bool) -> bool {
-        on_session!(self, s => s.set_spill(enabled))
-    }
-    fn evictions(&self) -> u64 {
-        on_session!(self, s => s.session().evictions())
-    }
-    fn cached_rows(&self) -> usize {
-        on_session!(self, s => s.session().cached_rows())
-    }
-    fn cached_bytes(&self) -> usize {
-        on_session!(self, s => s.session().cached_bytes())
-    }
-    fn cached_dense_bytes(&self) -> usize {
-        on_session!(self, s => s.session().cached_dense_bytes())
-    }
-    fn spilled_bytes(&self) -> usize {
-        on_session!(self, s => s.session().spilled_bytes())
-    }
-    fn spill_writes(&self) -> u64 {
-        on_session!(self, s => s.session().spill_writes())
-    }
-    fn spill_reloads(&self) -> u64 {
-        on_session!(self, s => s.session().spill_reloads())
-    }
-    fn lower_hits(&self) -> u64 {
-        on_session!(self, s => s.session().lower_hits())
-    }
+    let q = parse_query_arg(args.require("query")?)?;
+    cmd_pqe_incremental::<R>(args, &q, interner, tid, par)
 }
 
 /// `hq pqe --mode incremental --updates FILE [--batch N]`: replays a
@@ -405,12 +340,11 @@ impl Session {
 /// registered query, printing the probability trajectory. Each chunk of
 /// `--batch N` consecutive updates (default 1) is one `update_batch`
 /// repair pass followed by one query.
-fn cmd_pqe_incremental(
+fn cmd_pqe_incremental<R: ServingBackend<Ann = f64>>(
     args: &Args,
     q: &Query,
     interner: &mut Interner,
     tid: &[(Fact, f64)],
-    backend: Backend,
     par: Parallelism,
 ) -> Result<String, String> {
     let path = args.require("updates")?;
@@ -439,15 +373,19 @@ fn cmd_pqe_incremental(
             }
         }
     }
-    let mut session = Session::open(interner, tid, backend, par)?;
-    let mut out = format!("P(Q) = {:.9}\n", session.query(interner, q)?.0);
+    let mut session =
+        PqeSession::<R>::with_parallelism(interner, tid, par).map_err(|e| e.to_string())?;
+    let (p, _) = session.query(interner, q).map_err(|e| e.to_string())?;
+    let mut out = format!("P(Q) = {p:.9}\n");
     for batch in updates.chunks(batch_size) {
         let writes: Vec<(Fact, f64)> = batch
             .iter()
             .map(|(f, a)| (f.clone(), a.prob_weight()))
             .collect();
-        session.update_batch(interner, &writes)?;
-        let (p, _) = session.query(interner, q)?;
+        session
+            .update_batch(interner, &writes)
+            .map_err(|e| e.to_string())?;
+        let (p, _) = session.query(interner, q).map_err(|e| e.to_string())?;
         let label: Vec<String> = batch
             .iter()
             .map(|(f, a)| render_command(&ScriptCommand::Update(f.clone(), a.clone()), interner))
@@ -467,11 +405,10 @@ fn cmd_pqe_incremental(
 /// through the session's plan cache — the trailer reports how many
 /// monoid operations the sharing actually executed versus the
 /// independent-evaluation total the reported stats replay.
-fn cmd_pqe_serve(
+fn cmd_pqe_serve<R: ServingBackend<Ann = f64>>(
     args: &Args,
     interner: &mut Interner,
     tid: &[(Fact, f64)],
-    backend: Backend,
     par: Parallelism,
 ) -> Result<String, String> {
     let path = args.require("script")?;
@@ -481,12 +418,13 @@ fn cmd_pqe_serve(
     // consume. The serving session is probability-monoid: a delete and
     // a zero weight coincide (`0` means absent).
     let script: Vec<ScriptCommand> = parse_script(&text, path, interner)?;
-    let mut session = Session::open(interner, tid, backend, par)?;
+    let mut session =
+        PqeSession::<R>::with_parallelism(interner, tid, par).map_err(|e| e.to_string())?;
     if let Some(n) = args.get("cache-rows") {
         let budget: usize = n
             .parse()
             .map_err(|_| "cache-rows: expected a non-negative integer".to_string())?;
-        session.set_cache_budget(budget);
+        session.set_cache_budget(Some(budget));
     }
     let spilling = if args.flag("spill") {
         let effective = session.set_spill(true);
@@ -505,7 +443,7 @@ fn cmd_pqe_serve(
     let mut queries = 0usize;
     let mut replayed_ops = 0u64;
     let mut pending: Vec<(Fact, f64)> = Vec::new();
-    let flush = |session: &mut Session,
+    let flush = |session: &mut PqeSession<R>,
                  pending: &mut Vec<(Fact, f64)>,
                  out: &mut String,
                  interner: &Interner|
@@ -513,7 +451,9 @@ fn cmd_pqe_serve(
         if pending.is_empty() {
             return Ok(());
         }
-        session.update_batch(interner, pending)?;
+        session
+            .update_batch(interner, pending)
+            .map_err(|e| e.to_string())?;
         out.push_str(&format!("applied {} update(s)\n", pending.len()));
         pending.clear();
         Ok(())
@@ -523,7 +463,7 @@ fn cmd_pqe_serve(
             ScriptCommand::Update(fact, action) => pending.push((fact, action.prob_weight())),
             ScriptCommand::Query(q) => {
                 flush(&mut session, &mut pending, &mut out, interner)?;
-                let (p, stats) = session.query(interner, &q)?;
+                let (p, stats) = session.query(interner, &q).map_err(|e| e.to_string())?;
                 queries += 1;
                 replayed_ops += stats.total_ops();
                 out.push_str(&format!("{q} -> P(Q) = {p:.9}\n"));
@@ -531,7 +471,9 @@ fn cmd_pqe_serve(
             ref fix_cmd @ ScriptCommand::Fix { ref rel, src, dst } => {
                 flush(&mut session, &mut pending, &mut out, interner)?;
                 let echo = hq_unify::script::render_command(fix_cmd, interner);
-                let (p, stats) = session.reachability(interner, rel, src, dst)?;
+                let (p, stats) = session
+                    .reachability(interner, rel, src, dst)
+                    .map_err(|e| e.to_string())?;
                 queries += 1;
                 replayed_ops += stats.total_ops();
                 out.push_str(&format!(
@@ -542,21 +484,22 @@ fn cmd_pqe_serve(
         }
     }
     flush(&mut session, &mut pending, &mut out, interner)?;
+    let s = session.session();
     out.push_str(&format!(
         "served {queries} quer{} from {} cached plan node(s) ({} rows, {} evicted, \
          {} memo hit(s)); {} monoid ops executed vs {} replayed (independent evaluation)\n",
         if queries == 1 { "y" } else { "ies" },
-        session.cached_nodes(),
-        session.cached_rows(),
-        session.evictions(),
-        session.lower_hits(),
-        session.ops_performed(),
+        s.cached_nodes(),
+        s.cached_rows(),
+        s.evictions(),
+        s.lower_hits(),
+        s.ops_performed(),
         replayed_ops,
     ));
     // Resident footprint and compression ratio: live cached bytes vs
     // what the same nodes would occupy as dense columnar matrices.
-    let resident = session.cached_bytes();
-    let dense = session.cached_dense_bytes();
+    let resident = s.cached_bytes();
+    let dense = s.cached_dense_bytes();
     let ratio = if resident > 0 {
         dense as f64 / resident as f64
     } else {
@@ -568,9 +511,9 @@ fn cmd_pqe_serve(
     if spilling {
         out.push_str(&format!(
             "spill: {} write(s), {} reload(s), {} B on disk\n",
-            session.spill_writes(),
-            session.spill_reloads(),
-            session.spilled_bytes(),
+            s.spill_writes(),
+            s.spill_reloads(),
+            s.spilled_bytes(),
         ));
     }
     Ok(out)
@@ -621,17 +564,7 @@ fn cmd_expected(args: &Args) -> Result<String, String> {
     let q = parse_query_arg(args.require("query")?)?;
     let exec = exec_arg(args)?;
     let mut interner = Interner::new();
-    let (db, weights) = load_db(args.require("db")?, &mut interner)?;
-    let weighted: std::collections::BTreeMap<&Fact, f64> =
-        weights.iter().map(|(f, w)| (f, *w)).collect();
-    let tid: Vec<(Fact, f64)> = db
-        .facts()
-        .into_iter()
-        .map(|f| {
-            let p = weighted.get(&f).copied().unwrap_or(1.0);
-            (f, p)
-        })
-        .collect();
+    let tid = load_tid(args.require("db")?, &mut interner)?;
     let e = pqe::expected_count_on(exec, &q, &interner, &tid).map_err(|e| e.to_string())?;
     Ok(format!("E[Q(D)] = {e:.9}\n"))
 }
@@ -950,7 +883,9 @@ mod tests {
         for extra in [
             vec!["--backend", "map"],
             vec!["--backend", "columnar"],
+            vec!["--backend", "compressed"],
             vec!["--threads", "4"],
+            vec!["--backend", "map", "--threads", "4"],
         ] {
             let mut args: Vec<&str> = base.to_vec();
             args.extend(extra.iter());
@@ -1012,6 +947,7 @@ mod tests {
             vec!["--backend", "columnar"],
             vec!["--backend", "compressed"],
             vec!["--threads", "4"],
+            vec!["--backend", "map", "--threads", "4"],
         ] {
             let mut args: Vec<&str> = base.to_vec();
             args.extend(extra.iter());

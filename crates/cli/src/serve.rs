@@ -22,6 +22,12 @@
 //! * `quit` (close this session), `shutdown` (stop the server);
 //! * `# …` comments and blank lines are skipped without a response.
 //!
+//! `--backend map|columnar|compressed` picks the server's storage tier
+//! once, at startup: [`cmd_serve`] matches it to one [`Server`] type
+//! and everything after that is generic over the tier. Every tier runs
+//! its rules at the `--threads` degree, and every tier and degree
+//! answers bit-identically.
+//!
 //! Errors answer `error: …` and keep the connection open — including
 //! `error: write queue full …` when `--write-queue N --write-policy
 //! refuse` backpressure refuses a burst, a line longer than
@@ -31,11 +37,12 @@
 //! and is closed.
 
 use crate::args::Args;
-use hq_db::{Fact, Interner, Value};
+use hq_db::Interner;
 use hq_monoid::ProbMonoid;
 use hq_unify::script::{parse_command, render_command, strip_comment, ScriptCommand};
 use hq_unify::{
-    ColumnarRelation, CompressedColumnar, MapRelation, Server, ServingBackend, Session,
+    Backend, ColumnarRelation, CompressedColumnar, MapRelation, Server, ServingBackend, Session,
+    WritePolicy,
 };
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
@@ -97,164 +104,34 @@ fn read_wire_line<'b>(
     ))
 }
 
-/// The three storage tiers behind one wire server. Mirrors the serve
-/// mode's `Session` dispatch: `--backend` selects the variant once at
-/// startup, and `--threads` sets the degree its rules run at.
-enum WireServer {
-    Map(Server<ProbMonoid, MapRelation<f64>>),
-    Columnar(Server<ProbMonoid, ColumnarRelation<f64>>),
-    Compressed(Server<ProbMonoid, CompressedColumnar<f64>>),
+/// One `stats` reply: the server's epoch, cache and write-pipeline
+/// counters on one line.
+fn stats_line<R: ServingBackend<Ann = f64>>(s: &Server<ProbMonoid, R>) -> String {
+    let w = s.write_stats();
+    format!(
+        "epoch {}; {} live epoch(s); {} cached node(s), {} rows, {} B; \
+         {} evicted; {} ops performed; {} plan hit(s); \
+         writes: {} commit(s), {} batch(es), max group {}, \
+         queue {} (hw {}), rejected {} invalid / {} full",
+        s.current_epoch(),
+        s.live_epochs(),
+        s.cached_nodes(),
+        s.materialised_rows(),
+        s.storage_bytes(),
+        s.evictions(),
+        s.ops_performed(),
+        s.plan_hits(),
+        w.commits,
+        w.batches_committed,
+        w.max_group,
+        w.queue_depth,
+        w.queue_high_water,
+        w.rejected_invalid,
+        w.rejected_full,
+    )
 }
 
-/// One connection's session, matching its server's variant.
-enum WireSession {
-    Map(Session<ProbMonoid, MapRelation<f64>>),
-    Columnar(Session<ProbMonoid, ColumnarRelation<f64>>),
-    Compressed(Session<ProbMonoid, CompressedColumnar<f64>>),
-}
-
-/// Forwards one accessor through the three variants.
-macro_rules! on_wire {
-    ($value:expr, $s:ident => $body:expr) => {
-        match $value {
-            WireServer::Map($s) => $body,
-            WireServer::Columnar($s) => $body,
-            WireServer::Compressed($s) => $body,
-        }
-    };
-}
-
-macro_rules! on_wire_session {
-    ($value:expr, $s:ident => $body:expr) => {
-        match $value {
-            WireSession::Map($s) => $body,
-            WireSession::Columnar($s) => $body,
-            WireSession::Compressed($s) => $body,
-        }
-    };
-}
-
-impl Clone for WireServer {
-    fn clone(&self) -> Self {
-        match self {
-            WireServer::Map(s) => WireServer::Map(s.clone()),
-            WireServer::Columnar(s) => WireServer::Columnar(s.clone()),
-            WireServer::Compressed(s) => WireServer::Compressed(s.clone()),
-        }
-    }
-}
-
-impl WireServer {
-    fn build(
-        backend: hq_unify::Backend,
-        par: hq_unify::Parallelism,
-        interner: &Interner,
-        tid: &[(Fact, f64)],
-    ) -> Result<WireServer, String> {
-        fn mk<R: ServingBackend<Ann = f64>>(
-            interner: &Interner,
-            tid: &[(Fact, f64)],
-            par: hq_unify::Parallelism,
-        ) -> Result<Server<ProbMonoid, R>, String> {
-            Server::with_parallelism(ProbMonoid, interner, tid.iter().cloned(), par)
-                .map_err(|e| e.to_string())
-        }
-        Ok(match backend {
-            hq_unify::Backend::Map => WireServer::Map(mk(interner, tid, par)?),
-            hq_unify::Backend::Columnar => WireServer::Columnar(mk(interner, tid, par)?),
-            // The compressed kernels are sequential; the thread count
-            // only affects the worker pool the columnar layout shards
-            // over.
-            hq_unify::Backend::Compressed => WireServer::Compressed(mk(interner, tid, par)?),
-        })
-    }
-
-    fn session(&self) -> WireSession {
-        match self {
-            WireServer::Map(s) => WireSession::Map(s.session()),
-            WireServer::Columnar(s) => WireSession::Columnar(s.session()),
-            WireServer::Compressed(s) => WireSession::Compressed(s.session()),
-        }
-    }
-
-    fn set_global_cache_rows(&self, budget: Option<usize>) {
-        on_wire!(self, s => s.set_global_cache_rows(budget));
-    }
-
-    fn set_max_live_epochs(&self, max: Option<usize>) {
-        on_wire!(self, s => s.set_max_live_epochs(max));
-    }
-
-    fn set_write_queue(&self, depth: Option<usize>, policy: hq_unify::WritePolicy) {
-        on_wire!(self, s => s.set_write_queue(depth, policy));
-    }
-
-    fn current_epoch(&self) -> u64 {
-        on_wire!(self, s => s.current_epoch())
-    }
-
-    fn stats_line(&self) -> String {
-        on_wire!(self, s => {
-            let w = s.write_stats();
-            format!(
-                "epoch {}; {} live epoch(s); {} cached node(s), {} rows, {} B; \
-                 {} evicted; {} ops performed; {} plan hit(s); \
-                 writes: {} commit(s), {} batch(es), max group {}, \
-                 queue {} (hw {}), rejected {} invalid / {} full",
-                s.current_epoch(),
-                s.live_epochs(),
-                s.cached_nodes(),
-                s.materialised_rows(),
-                s.storage_bytes(),
-                s.evictions(),
-                s.ops_performed(),
-                s.plan_hits(),
-                w.commits,
-                w.batches_committed,
-                w.max_group,
-                w.queue_depth,
-                w.queue_high_water,
-                w.rejected_invalid,
-                w.rejected_full,
-            )
-        })
-    }
-}
-
-impl WireSession {
-    fn query(&self, i: &Interner, q: &hq_query::Query) -> Result<f64, String> {
-        on_wire_session!(self, s => s.query(i, q).map(|(p, _)| p)).map_err(|e| e.to_string())
-    }
-
-    /// Serves a `? fix` recursive reachability query.
-    fn query_fix(
-        &self,
-        i: &Interner,
-        rel: &str,
-        src: Option<Value>,
-        dst: Option<Value>,
-    ) -> Result<f64, String> {
-        on_wire_session!(self, s => s.query_fix(i, rel, src, dst).map(|(p, _)| p))
-            .map_err(|e| e.to_string())
-    }
-
-    /// Commits one write through the group-commit queue, returning the
-    /// epoch the write's commit group published.
-    fn update(&self, i: &Interner, fact: Fact, weight: f64) -> Result<u64, String> {
-        on_wire_session!(self, s => s.commit_batch(i, &[(fact, weight)]).map(|r| r.epoch))
-            .map_err(|e| e.to_string())
-    }
-
-    fn pin(&mut self) -> u64 {
-        on_wire_session!(self, s => s.pin())
-    }
-
-    fn unpin(&mut self) {
-        on_wire_session!(self, s => s.unpin());
-    }
-}
-
-/// `hq serve --db FILE --listen ADDR [--backend B] [--threads N]
+/// `hq serve --db FILE --listen ADDR [--backend map|columnar|compressed] [--threads N]
 /// [--max-sessions N] [--global-cache-rows N] [--max-live-epochs N]
 /// [--write-queue N] [--write-policy block|refuse]`.
 /// Binds, prints the bound address to stderr (so `--listen 127.0.0.1:0`
@@ -263,20 +140,22 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, String> {
     if args.get("write-policy").is_some() && args.get("write-queue").is_none() {
         return Err("--write-policy requires --write-queue".into());
     }
-    let backend = crate::backend_arg(args)?;
+    match crate::backend_arg(args)? {
+        Backend::Map => serve_on::<MapRelation<f64>>(args),
+        Backend::Columnar => serve_on::<ColumnarRelation<f64>>(args),
+        Backend::Compressed => serve_on::<CompressedColumnar<f64>>(args),
+    }
+}
+
+/// [`cmd_serve`] on the storage tier `R`, its rules run at the
+/// `--threads` degree.
+fn serve_on<R>(args: &Args) -> Result<String, String>
+where
+    R: ServingBackend<Ann = f64> + Send + Sync + 'static,
+{
     let par = crate::threads_arg(args)?;
     let mut interner = Interner::new();
-    let (db, weights) = crate::load_db(args.require("db")?, &mut interner)?;
-    let weighted: std::collections::BTreeMap<&Fact, f64> =
-        weights.iter().map(|(f, w)| (f, *w)).collect();
-    let tid: Vec<(Fact, f64)> = db
-        .facts()
-        .into_iter()
-        .map(|f| {
-            let p = weighted.get(&f).copied().unwrap_or(1.0);
-            (f, p)
-        })
-        .collect();
+    let tid = crate::load_tid(args.require("db")?, &mut interner)?;
     let listen = args.require("listen")?;
     let max_sessions: usize = match args.get("max-sessions") {
         Some(n) => n
@@ -286,7 +165,8 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, String> {
             .ok_or_else(|| "max-sessions: expected a positive integer".to_string())?,
         None => 64,
     };
-    let server = WireServer::build(backend, par, &interner, &tid)?;
+    let server: Server<ProbMonoid, R> =
+        Server::with_parallelism(ProbMonoid, &interner, tid, par).map_err(|e| e.to_string())?;
     if let Some(n) = args.get("global-cache-rows") {
         let budget: usize = n
             .parse()
@@ -307,9 +187,9 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, String> {
             .ok()
             .filter(|&n| n >= 1)
             .ok_or_else(|| "write-queue: expected a positive integer".to_string())?;
-        let write_policy: hq_unify::WritePolicy = match args.get("write-policy") {
+        let write_policy: WritePolicy = match args.get("write-policy") {
             Some(p) => p.parse().map_err(|e| format!("write-policy: {e}"))?,
-            None => hq_unify::WritePolicy::default(),
+            None => WritePolicy::default(),
         };
         server.set_write_queue(Some(depth), write_policy);
     }
@@ -347,13 +227,16 @@ impl Drop for SessionSlot {
 /// a connection fans out over the shared worker pool warmed at server
 /// construction. Split from [`cmd_serve`] so tests can drive a bound
 /// `127.0.0.1:0` listener directly (and shorten `idle`).
-fn serve_loop(
+fn serve_loop<R>(
     listener: TcpListener,
-    server: &WireServer,
+    server: &Server<ProbMonoid, R>,
     interner: &Arc<RwLock<Interner>>,
     max_sessions: usize,
     idle: Duration,
-) -> Result<usize, String> {
+) -> Result<usize, String>
+where
+    R: ServingBackend<Ann = f64> + Send + Sync + 'static,
+{
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     let stop = Arc::new(AtomicBool::new(false));
     let active = Arc::new(AtomicUsize::new(0));
@@ -408,10 +291,10 @@ fn serve_loop(
 /// updates run under the read lock, so concurrent sessions evaluate
 /// in parallel. A connection that sends nothing for `idle` is told so
 /// and closed; dropping its session releases any pinned epoch.
-fn handle_conn(
+fn handle_conn<R: ServingBackend<Ann = f64>>(
     stream: &TcpStream,
-    server: &WireServer,
-    mut session: WireSession,
+    server: &Server<ProbMonoid, R>,
+    mut session: Session<ProbMonoid, R>,
     interner: &Arc<RwLock<Interner>>,
     stop: &AtomicBool,
     idle: Duration,
@@ -451,7 +334,7 @@ fn handle_conn(
                 session.unpin();
                 "ok".to_owned()
             }
-            "stats" => server.stats_line(),
+            "stats" => stats_line(server),
             _ => {
                 let parsed = {
                     let mut i = interner.write().expect("interner lock");
@@ -462,7 +345,7 @@ fn handle_conn(
                     Ok(ScriptCommand::Query(q)) => {
                         let i = interner.read().expect("interner lock");
                         match session.query(&i, &q) {
-                            Ok(p) => format!("{q} -> P(Q) = {p:.9}"),
+                            Ok((p, _)) => format!("{q} -> P(Q) = {p:.9}"),
                             Err(e) => format!("error: {e}"),
                         }
                     }
@@ -470,7 +353,7 @@ fn handle_conn(
                         let i = interner.read().expect("interner lock");
                         let echo = render_command(fix_cmd, &i);
                         match session.query_fix(&i, rel, src, dst) {
-                            Ok(p) => {
+                            Ok((p, _)) => {
                                 format!("{} -> P(Q) = {p:.9}", echo.trim_start_matches("? "))
                             }
                             Err(e) => format!("error: {e}"),
@@ -480,8 +363,8 @@ fn handle_conn(
                         // Probability monoid: a delete and a zero
                         // weight coincide.
                         let i = interner.read().expect("interner lock");
-                        match session.update(&i, fact, action.prob_weight()) {
-                            Ok(epoch) => format!("ok epoch {epoch}"),
+                        match session.commit_batch(&i, &[(fact, action.prob_weight())]) {
+                            Ok(receipt) => format!("ok epoch {}", receipt.epoch),
                             Err(e) => format!("error: {e}"),
                         }
                     }
@@ -505,10 +388,10 @@ mod tests {
         std::net::SocketAddr,
         std::thread::JoinHandle<Result<usize, String>>,
     ) {
-        boot_with(db_lines, extra, 2, IDLE_TIMEOUT)
+        boot_with::<ColumnarRelation<f64>>(db_lines, extra, 2, IDLE_TIMEOUT)
     }
 
-    fn boot_with(
+    fn boot_with<R: ServingBackend<Ann = f64> + Send + Sync + 'static>(
         db_lines: &str,
         extra: &[(&str, &str)],
         max_sessions: usize,
@@ -527,21 +410,8 @@ mod tests {
         ));
         std::fs::write(&path, db_lines).unwrap();
         let mut interner = Interner::new();
-        let (db, weights) = crate::load_db(path.to_str().unwrap(), &mut interner).unwrap();
-        let weighted: std::collections::BTreeMap<&Fact, f64> =
-            weights.iter().map(|(f, w)| (f, *w)).collect();
-        let tid: Vec<(Fact, f64)> = db
-            .facts()
-            .into_iter()
-            .map(|f| (f.clone(), weighted.get(&f).copied().unwrap_or(1.0)))
-            .collect();
-        let server = WireServer::build(
-            hq_unify::Backend::Columnar,
-            hq_unify::Parallelism::default(),
-            &interner,
-            &tid,
-        )
-        .unwrap();
+        let tid = crate::load_tid(path.to_str().unwrap(), &mut interner).unwrap();
+        let server: Server<ProbMonoid, R> = Server::new(ProbMonoid, &interner, tid).unwrap();
         for (k, v) in extra {
             match *k {
                 "global-cache-rows" => server.set_global_cache_rows(Some(v.parse().unwrap())),
@@ -671,6 +541,58 @@ mod tests {
         assert_eq!(shut, vec!["ok: shutting down".to_owned()]);
         let served = handle.join().unwrap().unwrap();
         assert_eq!(served, 2);
+    }
+
+    #[test]
+    fn every_storage_tier_replies_identically_over_the_wire() {
+        fn replies<R: ServingBackend<Ann = f64> + Send + Sync + 'static>() -> Vec<String> {
+            let (addr, handle) = boot_with::<R>(
+                "E(1,2) @ 0.5\nE(2,3) @ 0.5\nF(2,3) @ 0.5\n",
+                &[],
+                2,
+                IDLE_TIMEOUT,
+            );
+            let replies = roundtrip(
+                addr,
+                &[
+                    "? Q() :- E(X,Y), F(Y,Z)",
+                    "pin",
+                    "E(1,2) @ 0.9",
+                    "E(7,8) @ 0.25", // novel values extend the dictionary
+                    "? Q() :- E(X,Y), F(Y,Z)",
+                    "? fix E 1 3",
+                    "unpin",
+                    "? Q() :- E(X,Y), F(Y,Z)",
+                    "? fix E 1 3",
+                    "!F(2,3)",
+                    "? Q() :- E(X,Y), F(Y,Z)",
+                    "stats",
+                    "quit",
+                ],
+            );
+            let _ = roundtrip(addr, &["shutdown"]);
+            assert_eq!(handle.join().unwrap(), Ok(2));
+            replies
+        }
+        let map = replies::<MapRelation<f64>>();
+        assert_eq!(map.len(), 12, "{map:?}");
+        assert!(map[0].contains("P(Q) = 0.25"), "{map:?}");
+        assert!(map[4].contains("P(Q) = 0.25"), "pinned read: {map:?}");
+        assert!(map[7].contains("P(Q) = 0.45"), "{map:?}");
+        assert!(map[10].contains("P(Q) = 0.0"), "{map:?}");
+        // The `stats` line's byte count is layout-specific; every other
+        // counter is not.
+        let without_bytes = |r: &[String]| {
+            let (head, rest) = r[11].split_once(" rows, ").unwrap();
+            format!("{head} rows; {}", rest.split_once(" B; ").unwrap().1)
+        };
+        for (name, other) in [
+            ("columnar", replies::<ColumnarRelation<f64>>()),
+            ("compressed", replies::<CompressedColumnar<f64>>()),
+        ] {
+            assert_eq!(other[..11], map[..11], "{name}");
+            assert_eq!(without_bytes(&other), without_bytes(&map), "{name}");
+        }
     }
 
     #[test]
@@ -816,7 +738,12 @@ mod tests {
 
     #[test]
     fn idle_connection_is_timed_out_and_frees_its_slot() {
-        let (addr, handle) = boot_with("E(1,2) @ 0.5\n", &[], 1, Duration::from_millis(200));
+        let (addr, handle) = boot_with::<ColumnarRelation<f64>>(
+            "E(1,2) @ 0.5\n",
+            &[],
+            1,
+            Duration::from_millis(200),
+        );
         // The only slot: pin an epoch, then go silent.
         let mut idle = TcpStream::connect(addr).unwrap();
         writeln!(idle, "pin").unwrap();

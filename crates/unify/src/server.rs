@@ -52,11 +52,8 @@
 //!   [`Server::write_stats`] exposes commits, coalesced batches,
 //!   queue depth/high-water and rejected-batch counters.
 //! * **Memory governor.** [`Server::set_global_cache_rows`] bounds the
-//!   total materialised rows across all sessions (cost-aware-LRU
-//!   eviction, like the per-session budget of
-//!   [`ServingSession::set_cache_budget`]);
-//!   [`Session::set_cache_budget`] additionally bounds the rows a
-//!   single session may keep materialised; and
+//!   total materialised rows across all sessions (the cost-aware-LRU
+//!   victim order of [`ServingSession::set_cache_budget`]), and
 //!   [`Server::set_max_live_epochs`] admission-controls update bursts
 //!   — a writer blocks until enough pinned epochs retire.
 //!
@@ -75,23 +72,18 @@ use crate::annotated::AnnotateError;
 use crate::engine::EngineStats;
 use crate::plan_ir::{LoweredQuery, PlanExpr, PlanId};
 use crate::serving::{
-    eval_node, node_inputs, query_shape, replay, Node, QueryShape, ServingBackend, ServingError,
-    ServingSession, UpdateOutcome,
+    eval_node, lru_victims, node_inputs, query_shape, replay, Node, QueryShape, ServingBackend,
+    ServingError, ServingSession, UpdateOutcome,
 };
 use crate::storage::{BaseDb, ColumnarRelation, Parallelism};
 use hq_db::{Fact, Interner, Sym, Value};
 use hq_monoid::TwoMonoid;
 use hq_query::Query;
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::Duration;
-
-/// The writer's session id in shared-cache owner tags (real sessions
-/// start at 1).
-const WRITER: u64 = 0;
 
 /// Coalesces several update batches into one serial-replay-equivalent
 /// batch: for every fact the **last** write across the concatenation
@@ -188,9 +180,6 @@ struct SharedNode<R: ServingBackend> {
     rows: usize,
     /// Base relations the node transitively reads (stamp vocabulary).
     deps: Arc<BTreeSet<String>>,
-    /// Session that materialised the node (per-session budgets evict
-    /// a session's own nodes first).
-    owner: u64,
     /// Global LRU clock value of the last touch.
     last_used: AtomicU64,
 }
@@ -371,7 +360,6 @@ where
     evictions: AtomicU64,
     /// Global LRU clock, bumped once per query.
     tick: AtomicU64,
-    next_session: AtomicU64,
 }
 
 /// The dep stamp of a node under one epoch's per-relation dirty
@@ -473,7 +461,6 @@ where
         id: PlanId,
         interner: &Interner,
         tick: u64,
-        owner: u64,
         local: &mut HashMap<PlanId, Arc<SharedNode<R>>>,
     ) -> Result<(), ServingError> {
         if local.contains_key(&id) {
@@ -488,7 +475,7 @@ where
         }
         let node_of = |n| &plan.exprs[&n];
         for input in node_inputs(node_of, id)? {
-            self.ensure_node(epoch, plan, input, interner, tick, owner, local)?;
+            self.ensure_node(epoch, plan, input, interner, tick, local)?;
         }
         let node = eval_node(
             &self.monoid,
@@ -507,7 +494,6 @@ where
             rows: node.rel.support_size(),
             node,
             deps: deps.clone(),
-            owner,
             last_used: AtomicU64::new(tick),
         });
         // Insert-if-absent: a racing session may have materialised the
@@ -577,38 +563,22 @@ where
         }
     }
 
-    /// Evicts cost-aware-LRU victims (stalest first; among equally
-    /// stale, the node freeing the most rows) from the set selected by
-    /// `mine` until their total rows fit `budget`. In-flight queries
-    /// hold `Arc`s to their nodes, so eviction never invalidates a
-    /// running evaluation — evicted nodes rebuild lazily.
-    fn evict_where(&self, budget: usize, mine: impl Fn(&SharedNode<R>) -> bool) {
-        let mut cache = self.cache.lock().unwrap();
-        let mut total: usize = cache.values().filter(|n| mine(n)).map(|n| n.rows).sum();
-        if total <= budget {
-            return;
-        }
-        let mut order: Vec<(u64, Reverse<usize>, NodeKey)> = cache
-            .iter()
-            .filter(|(_, n)| mine(n) && n.rows > 0)
-            .map(|(k, n)| (n.last_used.load(Ordering::Relaxed), Reverse(n.rows), *k))
-            .collect();
-        order.sort_unstable();
-        for (_, _, key) in order {
-            if total <= budget {
-                break;
-            }
-            if let Some(n) = cache.remove(&key) {
-                total -= n.rows;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Enforces the global-rows governor bound, if one is set.
+    /// Enforces the global-rows governor bound, if one is set:
+    /// evicts [`lru_victims`] until the cache's rows fit it. In-flight
+    /// queries hold `Arc`s to their nodes, so eviction never
+    /// invalidates a running evaluation — evicted nodes rebuild
+    /// lazily.
     fn evict_global(&self) {
-        if let Some(budget) = self.governor.lock().unwrap().global_rows {
-            self.evict_where(budget, |_| true);
+        let Some(budget) = self.governor.lock().unwrap().global_rows else {
+            return;
+        };
+        let mut cache = self.cache.lock().unwrap();
+        let nodes = cache
+            .iter()
+            .map(|(k, n)| (*k, n.last_used.load(Ordering::Relaxed), n.rows));
+        for key in lru_victims(budget, nodes) {
+            cache.remove(&key);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -756,7 +726,6 @@ where
                         rows: node.rel.support_size(),
                         node: node.clone(),
                         deps: Arc::new(deps.clone()),
-                        owner: WRITER,
                         last_used: AtomicU64::new(tick),
                     }));
                 }
@@ -871,7 +840,6 @@ where
             plan_hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             tick: AtomicU64::new(0),
-            next_session: AtomicU64::new(1),
         };
         shared
             .epochs
@@ -888,8 +856,6 @@ where
     pub fn session(&self) -> Session<M, R> {
         Session {
             shared: self.shared.clone(),
-            id: self.shared.next_session.fetch_add(1, Ordering::Relaxed),
-            budget_rows: None,
             pinned: None,
         }
     }
@@ -1104,7 +1070,7 @@ where
         self.shared.cache.lock().unwrap().len()
     }
 
-    /// Nodes evicted by the governor or per-session budgets so far.
+    /// Nodes evicted by the governor so far.
     pub fn evictions(&self) -> u64 {
         self.shared.evictions.load(Ordering::Relaxed)
     }
@@ -1215,18 +1181,15 @@ where
     }
 }
 
-/// One reader's handle on a [`Server`]: snapshot-isolated queries, an
-/// optional long-lived pin, and a per-session cache budget. Open one
-/// per client (sessions are `Send`; share the server handle, not the
-/// session).
+/// One reader's handle on a [`Server`]: snapshot-isolated queries and
+/// an optional long-lived pin. Open one per client (sessions are
+/// `Send`; share the server handle, not the session).
 pub struct Session<M, R>
 where
     M: TwoMonoid,
     R: ServingBackend<Ann = M::Elem>,
 {
     shared: Arc<ServerShared<M, R>>,
-    id: u64,
-    budget_rows: Option<usize>,
     pinned: Option<Arc<EpochState<M>>>,
 }
 
@@ -1235,12 +1198,6 @@ where
     M: TwoMonoid,
     R: ServingBackend<Ann = M::Elem>,
 {
-    /// This session's id (stable for its lifetime; `1`-based — `0` is
-    /// the writer's owner tag).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// The epoch the next query will read: the pinned one, else the
     /// latest published.
     fn read_epoch(&self) -> Arc<EpochState<M>> {
@@ -1269,18 +1226,6 @@ where
     /// The pinned epoch counter, if a pin is in force.
     pub fn pinned_epoch(&self) -> Option<u64> {
         self.pinned.as_ref().map(|s| s.epoch)
-    }
-
-    /// Bounds the rows this session's own materialisations may keep in
-    /// the shared cache (`None`: unbounded). Nodes materialised by
-    /// other sessions (or exported by the writer) never count against
-    /// it.
-    pub fn set_cache_budget(&mut self, budget: Option<usize>) {
-        self.budget_rows = budget;
-        if let Some(b) = budget {
-            let id = self.id;
-            self.shared.evict_where(b, |n| n.owner == id);
-        }
     }
 
     /// Evaluates one query against this session's read epoch, sharing
@@ -1340,8 +1285,7 @@ where
 
     /// Materialises (or fetches) `ids` of `plan` for `epoch`, reads the
     /// answer off the query's node map, then releases the epoch and
-    /// the node handles and enforces this session's budget and the
-    /// global bound.
+    /// the node handles and enforces the global bound.
     fn serve<T>(
         &self,
         interner: &Interner,
@@ -1354,15 +1298,11 @@ where
         let mut local = HashMap::new();
         for id in ids {
             self.shared
-                .ensure_node(&epoch, plan, id, interner, tick, self.id, &mut local)?;
+                .ensure_node(&epoch, plan, id, interner, tick, &mut local)?;
         }
         let out = read(&local);
         drop(local);
         drop(epoch);
-        if let Some(b) = self.budget_rows {
-            let id = self.id;
-            self.shared.evict_where(b, |n| n.owner == id);
-        }
         self.shared.evict_global();
         Ok(out)
     }

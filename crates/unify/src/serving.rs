@@ -691,6 +691,37 @@ where
     (value, stats)
 }
 
+/// The cost-aware-LRU eviction order of both serving layers (a
+/// session's cache budget, the server's global governor). Given every
+/// cached node as `(key, last_used, rows)`, returns the victims to
+/// evict, in order, until the remaining rows fit `budget`: stalest
+/// `last_used` first, the most rows among equally stale nodes, `key`
+/// as the deterministic tie-break. Empty nodes free nothing and are
+/// never victims.
+pub(crate) fn lru_victims<K: Ord + Copy>(
+    budget: usize,
+    nodes: impl Iterator<Item = (K, u64, usize)> + Clone,
+) -> Vec<K> {
+    let mut total: usize = nodes.clone().map(|(_, _, rows)| rows).sum();
+    if total <= budget {
+        return Vec::new();
+    }
+    let mut order: Vec<(u64, Reverse<usize>, K)> = nodes
+        .filter(|&(_, _, rows)| rows > 0)
+        .map(|(key, last_used, rows)| (last_used, Reverse(rows), key))
+        .collect();
+    order.sort_unstable();
+    let mut victims = Vec::new();
+    for (_, Reverse(rows), key) in order {
+        if total <= budget {
+            break;
+        }
+        total -= rows;
+        victims.push(key);
+    }
+    victims
+}
+
 /// A multi-query serving session over one annotated database. See the
 /// module docs for the sharing, determinism and invalidation model.
 pub struct ServingSession<M, R = ColumnarRelation<<M as TwoMonoid>::Elem>>
@@ -1673,32 +1704,19 @@ where
         }
     }
 
-    /// Evicts cost-aware-LRU victims until the cache fits the budget:
-    /// stalest `last_used` first, the most rows freed among equally
-    /// stale nodes, node id as the deterministic tie-break. Empty
-    /// nodes are never evicted (they free nothing and cost nothing).
+    /// Evicts [`lru_victims`] until the cache fits the budget,
+    /// spilling each victim when spill is enabled.
     fn evict_to_budget(&mut self) {
         let Some(budget) = self.cache_budget else {
             return;
         };
-        let mut total = self.cached_rows();
-        if total <= budget {
-            return;
-        }
-        let mut order: Vec<(u64, Reverse<usize>, PlanId)> = self
+        let nodes = self
             .cache
             .iter()
-            .filter(|(_, n)| n.node.rel.support_size() > 0)
-            .map(|(&id, n)| (n.last_used, Reverse(n.node.rel.support_size()), id))
-            .collect();
-        order.sort_unstable();
-        for (_, Reverse(rows), id) in order {
-            if total <= budget {
-                break;
-            }
-            let node = self.cache.remove(&id).expect("iterating live ids");
+            .map(|(&id, n)| (id, n.last_used, n.node.rel.support_size()));
+        for id in lru_victims(budget, nodes) {
+            let node = self.cache.remove(&id).expect("victims are live ids");
             self.maybe_spill(id, &node);
-            total -= rows;
             self.evictions += 1;
         }
     }
@@ -1839,6 +1857,27 @@ mod tests {
     use hq_db::{db_from_ints, Database};
     use hq_monoid::{CountMonoid, ProbMonoid};
     use hq_query::parse_query;
+
+    #[test]
+    fn lru_victims_take_stalest_then_most_rows_then_lowest_key() {
+        // (key, last_used, rows): 23 rows in all.
+        let nodes = [
+            (0, 2, 5),
+            (1, 1, 3),
+            (2, 1, 7),
+            (3, 1, 7),
+            (4, 0, 0),
+            (5, 3, 1),
+        ];
+        let victims = |budget| lru_victims(budget, nodes.iter().copied());
+        assert!(victims(23).is_empty(), "the cache already fits");
+        // Stalest first (the empty key 4 is never a victim); among the
+        // equally stale, most rows first; equal rows by key.
+        assert_eq!(victims(16), vec![2]);
+        assert_eq!(victims(15), vec![2, 3]);
+        assert_eq!(victims(6), vec![2, 3, 1]);
+        assert_eq!(victims(0), vec![2, 3, 1, 0, 5]);
+    }
 
     fn chain_tid() -> (Vec<(Fact, f64)>, Interner) {
         let (db, i) = db_from_ints(&[

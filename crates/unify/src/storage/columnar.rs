@@ -422,14 +422,6 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage
             .collect()
     }
 
-    fn get(&self, key: &Tuple) -> Option<K> {
-        let mut codes = Vec::with_capacity(self.width);
-        if !self.dict.encode_into(key, &mut codes) {
-            return None; // value outside the instance: cannot be stored
-        }
-        self.find(&codes).ok().map(|i| self.anns[i].clone())
-    }
-
     fn set(&mut self, key: &Tuple, value: Option<K>) {
         let mut codes = Vec::with_capacity(self.width);
         if !self.dict.encode_into(key, &mut codes) {
@@ -454,15 +446,6 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage
             debug_assert!(admitted, "extended dictionary must cover the key");
         }
         self.set_key(&codes, value);
-    }
-
-    fn group_rows(&self, keep: &[usize], group: &Tuple) -> Vec<K> {
-        debug_assert_eq!(keep.len(), group.arity());
-        let mut codes = Vec::with_capacity(group.arity());
-        if !self.dict.encode_into(group, &mut codes) {
-            return Vec::new(); // a value outside the dictionary cannot be stored
-        }
-        self.group_rows_key(keep, &codes)
     }
 
     fn key_of(&self, key: &Tuple) -> Option<Vec<RowCode>> {

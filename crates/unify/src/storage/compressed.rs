@@ -1569,14 +1569,6 @@ where
         out
     }
 
-    fn get(&self, key: &Tuple) -> Option<K> {
-        let mut codes = Vec::with_capacity(self.width);
-        if !self.dict.encode_into(key, &mut codes) {
-            return None;
-        }
-        self.get_key(&codes)
-    }
-
     fn set(&mut self, key: &Tuple, value: Option<K>) {
         let mut codes = Vec::with_capacity(self.width);
         if !self.dict.encode_into(key, &mut codes) {
@@ -1594,15 +1586,6 @@ where
             debug_assert!(admitted, "extended dictionary must cover the key");
         }
         self.set_key(&codes, value);
-    }
-
-    fn group_rows(&self, keep: &[usize], group: &Tuple) -> Vec<K> {
-        debug_assert_eq!(keep.len(), group.arity());
-        let mut codes = Vec::with_capacity(group.arity());
-        if !self.dict.encode_into(group, &mut codes) {
-            return Vec::new();
-        }
-        self.group_rows_key(keep, &codes)
     }
 
     fn key_of(&self, key: &Tuple) -> Option<Vec<RowCode>> {

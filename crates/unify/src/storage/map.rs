@@ -177,10 +177,6 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage for
             .collect()
     }
 
-    fn get(&self, key: &Tuple) -> Option<K> {
-        self.map.get(key).cloned()
-    }
-
     fn set(&mut self, key: &Tuple, value: Option<K>) {
         match value {
             Some(v) => {
@@ -192,7 +188,23 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage for
         }
     }
 
-    fn group_rows(&self, keep: &[usize], group: &Tuple) -> Vec<K> {
+    fn key_of(&self, key: &Tuple) -> Option<Tuple> {
+        Some(key.clone())
+    }
+
+    fn project_key(key: &Tuple, keep: &[usize]) -> Tuple {
+        key.project(keep)
+    }
+
+    fn get_key(&self, key: &Tuple) -> Option<K> {
+        self.map.get(key).cloned()
+    }
+
+    fn set_key(&mut self, key: &Tuple, value: Option<K>) {
+        self.set(key, value);
+    }
+
+    fn group_rows_key(&self, keep: &[usize], group: &Tuple) -> Vec<K> {
         debug_assert_eq!(keep.len(), group.arity());
         debug_assert!(keep.windows(2).all(|w| w[0] < w[1]));
         // The leading literal run of `keep` is a key prefix, so the
@@ -216,26 +228,6 @@ impl<K: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static> Storage for
             })
             .map(|(_, k)| k.clone())
             .collect()
-    }
-
-    fn key_of(&self, key: &Tuple) -> Option<Tuple> {
-        Some(key.clone())
-    }
-
-    fn project_key(key: &Tuple, keep: &[usize]) -> Tuple {
-        key.project(keep)
-    }
-
-    fn get_key(&self, key: &Tuple) -> Option<K> {
-        self.get(key)
-    }
-
-    fn set_key(&mut self, key: &Tuple, value: Option<K>) {
-        self.set(key, value);
-    }
-
-    fn group_rows_key(&self, keep: &[usize], group: &Tuple) -> Vec<K> {
-        self.group_rows(keep, group)
     }
 
     fn storage_bytes(&self) -> usize {

@@ -356,7 +356,9 @@ pub trait Storage: Clone + fmt::Debug + Sized {
     fn rows(&self) -> Vec<(Tuple, Self::Ann)>;
 
     /// Point read of one key (in `vars` order).
-    fn get(&self, key: &Tuple) -> Option<Self::Ann>;
+    fn get(&self, key: &Tuple) -> Option<Self::Ann> {
+        self.get_key(&self.key_of(key)?)
+    }
 
     /// Point write: `Some(v)` inserts/overwrites, `None` deletes.
     /// Backends admit keys with
@@ -384,7 +386,10 @@ pub trait Storage: Clone + fmt::Debug + Sized {
     /// Only the annotations are returned: the group key is the
     /// caller's own input and the full keys are irrelevant to the
     /// ⊕-fold.
-    fn group_rows(&self, keep: &[usize], group: &Tuple) -> Vec<Self::Ann>;
+    fn group_rows(&self, keep: &[usize], group: &Tuple) -> Vec<Self::Ann> {
+        self.key_of(group)
+            .map_or_else(Vec::new, |g| self.group_rows_key(keep, &g))
+    }
 
     /// Encodes a key tuple (in `vars` order) into the backend-native
     /// [`Storage::Key`]. Returns `None` when a value lies outside the
