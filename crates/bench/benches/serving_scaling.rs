@@ -38,9 +38,7 @@ fn query_batch() -> Vec<Query> {
 /// Database + fresh encoding for the independent baseline.
 fn build_encoded(w: &TidWorkload) -> (Database, EncodedDb) {
     let mut db = Database::new();
-    for (f, _) in &w.tid {
-        db.insert(f.clone());
-    }
+    db.insert_batch(w.tid.iter().map(|(f, _)| f.clone()));
     let enc = EncodedDb::new(&db);
     (db, enc)
 }

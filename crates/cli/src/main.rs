@@ -37,7 +37,6 @@ use hq_unify::{
     bsm, pqe, shapley, Backend, ColumnarRelation, CompressedColumnar, Exec, MapRelation,
     Parallelism, ServingBackend,
 };
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 mod args;
@@ -191,15 +190,16 @@ pub(crate) fn load_db(
 /// weight, a fact written without one at probability 1.
 pub(crate) fn load_tid(path: &str, interner: &mut Interner) -> Result<Vec<(Fact, f64)>, String> {
     let (db, weights) = load_db(path, interner)?;
-    let weighted: BTreeMap<&Fact, f64> = weights.iter().map(|(f, w)| (f, *w)).collect();
-    Ok(db
-        .facts()
-        .into_iter()
-        .map(|f| {
-            let p = weighted.get(&f).copied().unwrap_or(1.0);
-            (f, p)
-        })
-        .collect())
+    let mut tid: Vec<(Fact, f64)> = db.facts().into_iter().map(|f| (f, 1.0)).collect();
+    // `facts()` is sorted, so each weight is found by binary search; a
+    // later weight for the same fact overwrites an earlier one.
+    for (f, w) in weights {
+        let i = tid
+            .binary_search_by(|(g, _)| g.cmp(&f))
+            .expect("the loader inserts every weighted fact");
+        tid[i].1 = w;
+    }
+    Ok(tid)
 }
 
 fn cmd_check(rest: &[String]) -> Result<String, String> {
@@ -1176,6 +1176,9 @@ mod tests {
     fn helpful_errors() {
         assert!(run_strs(&["frobnicate"]).is_err());
         assert!(run_strs(&["count", "--query", "R(A), R(B)"]).is_err());
+        let mixed = write_temp("mixed_arity.facts", "R(1, 2)\nR(1)\n");
+        let err = run_strs(&["pqe", "--query", "Q() :- R(X,Y)", "--db", &mixed]).unwrap_err();
+        assert!(err.contains(": line 2: ") && err.contains("arity"), "{err}");
         let out = run_strs(&[]).unwrap();
         assert!(out.contains("commands:"));
     }

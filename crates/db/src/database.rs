@@ -84,7 +84,14 @@ impl Database {
     ///
     /// # Panics
     /// Panics if the relation exists with a different arity.
-    pub fn declare(&mut self, rel: Sym, arity: usize) -> &mut Relation {
+    pub fn declare(&mut self, rel: Sym, arity: usize) {
+        self.relation_mut(rel, arity);
+    }
+
+    /// The relation for `rel`, declared with `arity` if absent. Kept
+    /// private so that every mutation passes through a method that
+    /// bumps the version counter.
+    fn relation_mut(&mut self, rel: Sym, arity: usize) -> &mut Relation {
         let r = self
             .relations
             .entry(rel)
@@ -93,15 +100,22 @@ impl Database {
         r
     }
 
-    /// Inserts a fact, declaring the relation from the tuple arity if
-    /// needed. Returns `true` if the fact was new.
-    pub fn insert(&mut self, fact: Fact) -> bool {
-        let arity = fact.tuple.arity();
-        let rel = fact.rel;
-        let new = self.declare(rel, arity).insert(fact.tuple);
-        if new {
-            *self.versions.entry(rel).or_insert(0) += 1;
+    /// Advances `rel`'s version by `effective` mutations.
+    fn bump(&mut self, rel: Sym, effective: usize) {
+        if effective > 0 {
+            *self.versions.entry(rel).or_insert(0) += effective as u64;
         }
+    }
+
+    /// Inserts a fact, declaring the relation from the tuple arity if
+    /// needed. Returns `true` if the fact was new. Costs a shift of the
+    /// relation's larger tuples: build large relations with
+    /// [`Database::insert_batch`].
+    pub fn insert(&mut self, fact: Fact) -> bool {
+        let new = self
+            .relation_mut(fact.rel, fact.tuple.arity())
+            .insert(fact.tuple);
+        self.bump(fact.rel, usize::from(new));
         new
     }
 
@@ -124,16 +138,21 @@ impl Database {
         for f in facts {
             by_rel.entry(f.rel).or_default().push(f.tuple);
         }
-        let mut total = 0;
-        for (rel, tuples) in by_rel {
-            let arity = tuples[0].arity();
-            let added = self.declare(rel, arity).insert_batch(tuples);
-            if added > 0 {
-                *self.versions.entry(rel).or_insert(0) += added as u64;
-            }
-            total += added;
-        }
-        total
+        by_rel
+            .into_iter()
+            .map(|(rel, tuples)| self.insert_tuples(rel, tuples))
+            .sum()
+    }
+
+    /// One relation's share of [`Database::insert_batch`]: the batch
+    /// moves into an empty relation without being copied.
+    pub(crate) fn insert_tuples(&mut self, rel: Sym, tuples: Vec<Tuple>) -> usize {
+        let Some(arity) = tuples.first().map(Tuple::arity) else {
+            return 0;
+        };
+        let added = self.relation_mut(rel, arity).insert_batch(tuples);
+        self.bump(rel, added);
+        added
     }
 
     /// Removes a fact. Returns `true` if it was present.
@@ -142,9 +161,7 @@ impl Database {
             .relations
             .get_mut(&fact.rel)
             .is_some_and(|r| r.remove(&fact.tuple));
-        if removed {
-            *self.versions.entry(fact.rel).or_insert(0) += 1;
-        }
+        self.bump(fact.rel, usize::from(removed));
         removed
     }
 
@@ -188,7 +205,7 @@ impl Database {
     pub fn facts(&self) -> Vec<Fact> {
         let mut out = Vec::with_capacity(self.fact_count());
         for (&rel, r) in &self.relations {
-            for t in r.sorted() {
+            for t in r {
                 out.push(Fact::new(rel, t.clone()));
             }
         }
@@ -203,9 +220,7 @@ impl Database {
         let mut out = self.clone();
         for (&rel, r) in &other.relations {
             out.declare(rel, r.arity());
-            for t in r {
-                out.insert_tuple(rel, t.clone());
-            }
+            out.insert_batch(r.iter().map(|t| Fact::new(rel, t.clone())));
         }
         out
     }

@@ -11,6 +11,7 @@ use crate::tuple::Tuple;
 use crate::value::{Interner, Sym, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// Deterministic RNG used across the test/bench suites.
 pub fn rng(seed: u64) -> StdRng {
@@ -87,7 +88,9 @@ impl ColumnDist {
 
 /// Fills `rel` (declared with `columns.len()` arity) with up to `count`
 /// *distinct* random tuples; returns the number actually inserted
-/// (collisions under heavy skew may reduce it).
+/// (collisions under heavy skew may reduce it). A draw is kept iff it
+/// is neither in `rel` already nor drawn before, and the kept draws go
+/// in with one batch insert.
 pub fn fill_relation(
     db: &mut Database,
     rel: Sym,
@@ -108,12 +111,13 @@ pub fn fill_relation(
         })
         .collect();
     db.declare(rel, columns.len());
-    let mut inserted = 0;
+    let existing = db.relation(rel).expect("declared above");
+    let mut drawn = BTreeSet::new();
     // Bounded retries so pathological configurations (tiny domains)
     // terminate: expected distinct coupon-collector behaviour is fine.
     let max_attempts = count.saturating_mul(20) + 100;
     let mut attempts = 0;
-    while inserted < count && attempts < max_attempts {
+    while drawn.len() < count && attempts < max_attempts {
         attempts += 1;
         let tuple: Tuple = samplers
             .iter()
@@ -124,11 +128,11 @@ pub fn fill_relation(
                 })
             })
             .collect();
-        if db.insert_tuple(rel, tuple) {
-            inserted += 1;
+        if !existing.contains(&tuple) {
+            drawn.insert(tuple);
         }
     }
-    inserted
+    db.insert_batch(drawn.into_iter().map(|t| Fact::new(rel, t)))
 }
 
 /// Configuration for a whole random database over named relations.
@@ -307,6 +311,47 @@ mod tests {
             &mut r,
         );
         assert!(n <= 3);
+    }
+
+    #[test]
+    fn fill_relation_matches_one_by_one_inserts() {
+        // Reference: insert each draw as it comes, as a caller without
+        // batch inserts would; the same draws must be kept.
+        fn one_by_one(
+            db: &mut Database,
+            rel: Sym,
+            domains: &[u64],
+            count: usize,
+            r: &mut StdRng,
+        ) -> usize {
+            db.declare(rel, domains.len());
+            let (mut inserted, mut attempts) = (0, 0);
+            while inserted < count && attempts < count * 20 + 100 {
+                attempts += 1;
+                let tuple: Tuple = domains
+                    .iter()
+                    .map(|&d| Value::Int(r.gen_range(0..d) as i64))
+                    .collect();
+                inserted += usize::from(db.insert_tuple(rel, tuple));
+            }
+            inserted
+        }
+        let mut i = Interner::new();
+        let rel = i.intern("R");
+        // 9 possible tuples, 2 present up front; 50 saturates the rest.
+        for count in [0, 4, 7, 50] {
+            let mut serial = Database::new();
+            serial.insert_tuple(rel, Tuple::ints(&[1, 1]));
+            serial.insert_tuple(rel, Tuple::ints(&[2, 0]));
+            let mut batched = serial.clone();
+            let (mut r1, mut r2) = (rng(12), rng(12));
+            let n = one_by_one(&mut serial, rel, &[3, 3], count, &mut r1);
+            let cols = [ColumnDist::Uniform { domain: 3 }; 2];
+            assert_eq!(fill_relation(&mut batched, rel, &cols, count, &mut r2), n);
+            assert_eq!(batched, serial);
+            assert_eq!(batched.version(rel), serial.version(rel));
+            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "same number of draws");
+        }
     }
 
     #[test]

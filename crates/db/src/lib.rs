@@ -25,7 +25,6 @@ pub mod value;
 pub use database::{db_from_ints, Database, Fact};
 pub use dict::{RowCode, ValueDict};
 pub use join::{all_matches, count_matches, satisfiable, Pattern, PatternAtom};
-pub use relation::Iter as RelationIter;
 pub use relation::Relation;
 pub use tuple::Tuple;
 pub use value::{Interner, Sym, Value};

@@ -2,45 +2,21 @@
 
 use crate::tuple::Tuple;
 
-/// How many staged inserts accumulate before they merge into the bulk
-/// vector. Small enough that the stage's binary-searched insertion
-/// shifts stay cheap (a few cache lines), large enough that a burst of
-/// `n` inserts costs `O(n log n + n·|bulk|/STAGE_CAP)` moved tuples
-/// instead of the `O(n·|bulk|)` a direct sorted-vector insert would.
-const STAGE_CAP: usize = 512;
-
 /// A *set* relation instance (the paper's input model never allows
 /// duplicate facts; bags only appear in query *outputs*).
 ///
-/// Tuples are kept in **two sorted, deduplicated, disjoint vectors**:
-/// the bulk plus a small staged buffer of recent inserts that merges
-/// into the bulk when it reaches `STAGE_CAP` entries (or when a batch
-/// insert flushes it). Iteration interleaves the two — always sorted,
-/// which the annotated-relation storage layer exploits to build its
-/// columnar code matrices without re-sorting, and which makes every
-/// display/bench/test path deterministic by construction. Compared with
-/// the ordered-set representation this replaces, the contiguous layout
-/// reads with no pointer chasing and bulk-builds with one merge pass.
-#[derive(Debug, Clone, Default)]
+/// Tuples are kept in **one sorted, deduplicated vector**. Iteration is
+/// therefore sorted, which the annotated-relation storage layer exploits
+/// to build its columnar code matrices without re-sorting, and which
+/// makes every display/bench/test path deterministic by construction.
+/// Build large relations with [`Relation::insert_batch`] (one sort plus
+/// one merge pass); [`Relation::insert`] and [`Relation::remove`] shift
+/// the vector, which suits small databases only.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Relation {
     arity: usize,
-    /// The sorted bulk.
     tuples: Vec<Tuple>,
-    /// Staged recent inserts: sorted, deduplicated, disjoint from
-    /// `tuples`.
-    stage: Vec<Tuple>,
 }
-
-impl PartialEq for Relation {
-    fn eq(&self, other: &Self) -> bool {
-        // The bulk/stage split is bookkeeping, not content: two
-        // relations holding the same tuples are equal however their
-        // inserts were batched.
-        self.arity == other.arity && self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for Relation {}
 
 impl Relation {
     /// Creates an empty relation of the given arity.
@@ -48,7 +24,6 @@ impl Relation {
         Relation {
             arity,
             tuples: Vec::new(),
-            stage: Vec::new(),
         }
     }
 
@@ -57,11 +32,7 @@ impl Relation {
         self.arity
     }
 
-    /// Inserts a tuple; returns `true` if it was not already present.
-    ///
-    /// # Panics
-    /// Panics if the tuple arity does not match the relation arity.
-    pub fn insert(&mut self, tuple: Tuple) -> bool {
+    fn check_arity(&self, tuple: &Tuple) {
         assert_eq!(
             tuple.arity(),
             self.arity,
@@ -69,106 +40,79 @@ impl Relation {
             tuple.arity(),
             self.arity
         );
-        if self.tuples.binary_search(&tuple).is_ok() {
-            return false;
-        }
-        match self.stage.binary_search(&tuple) {
+    }
+
+    /// Inserts a tuple; returns `true` if it was not already present.
+    /// Costs a binary search plus a shift of the larger tuples.
+    ///
+    /// # Panics
+    /// Panics if the tuple arity does not match the relation arity.
+    pub fn insert(&mut self, tuple: Tuple) -> bool {
+        self.check_arity(&tuple);
+        match self.tuples.binary_search(&tuple) {
             Ok(_) => false,
             Err(pos) => {
-                self.stage.insert(pos, tuple);
-                if self.stage.len() >= STAGE_CAP {
-                    self.flush();
-                }
+                self.tuples.insert(pos, tuple);
                 true
             }
         }
     }
 
-    /// Inserts a batch of tuples in one merge pass; returns how many
-    /// were new. Equivalent to (but much cheaper than) inserting them
-    /// one by one.
+    /// Inserts a batch of tuples in one sort plus one merge pass;
+    /// returns how many were new. Equivalent to (but much cheaper than)
+    /// inserting them one by one. A `Vec` batch moved into an empty
+    /// relation becomes its storage without being copied.
     ///
     /// # Panics
     /// Panics if any tuple's arity does not match the relation arity.
     pub fn insert_batch(&mut self, tuples: impl IntoIterator<Item = Tuple>) -> usize {
-        let mut batch: Vec<Tuple> = tuples
-            .into_iter()
-            .inspect(|t| {
-                assert_eq!(
-                    t.arity(),
-                    self.arity,
-                    "tuple arity {} does not match relation arity {}",
-                    t.arity(),
-                    self.arity
-                );
-            })
-            .collect();
+        let mut batch: Vec<Tuple> = tuples.into_iter().collect();
+        for t in &batch {
+            self.check_arity(t);
+        }
         batch.sort_unstable();
         batch.dedup();
         batch.retain(|t| !self.contains(t));
-        if batch.is_empty() {
-            return 0;
-        }
         let added = batch.len();
-        self.flush();
         self.tuples = merge_disjoint(std::mem::take(&mut self.tuples), batch);
         added
     }
 
-    /// Merges the staged inserts into the bulk vector.
-    fn flush(&mut self) {
-        if self.stage.is_empty() {
-            return;
-        }
-        let stage = std::mem::take(&mut self.stage);
-        self.tuples = merge_disjoint(std::mem::take(&mut self.tuples), stage);
-    }
-
-    /// Removes a tuple; returns `true` if it was present.
+    /// Removes a tuple; returns `true` if it was present. Costs a
+    /// binary search plus a shift of the larger tuples.
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        if let Ok(pos) = self.tuples.binary_search(tuple) {
-            self.tuples.remove(pos);
-            true
-        } else if let Ok(pos) = self.stage.binary_search(tuple) {
-            self.stage.remove(pos);
-            true
-        } else {
-            false
+        match self.tuples.binary_search(tuple) {
+            Ok(pos) => {
+                self.tuples.remove(pos);
+                true
+            }
+            Err(_) => false,
         }
     }
 
     /// Whether the tuple is present.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.tuples.binary_search(tuple).is_ok() || self.stage.binary_search(tuple).is_ok()
+        self.tuples.binary_search(tuple).is_ok()
     }
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len() + self.stage.len()
+        self.tuples.len()
     }
 
     /// Whether the relation has no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty() && self.stage.is_empty()
+        self.tuples.is_empty()
     }
 
-    /// Iterates over the tuples in ascending order (interleaving the
-    /// bulk and the staged inserts).
-    pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            bulk: &self.tuples,
-            stage: &self.stage,
-        }
-    }
-
-    /// Returns the tuples in sorted order (kept for API compatibility;
-    /// iteration is already sorted, so this is a plain collect).
-    pub fn sorted(&self) -> Vec<&Tuple> {
-        self.iter().collect()
+    /// Iterates over the tuples in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
+        self.tuples.iter()
     }
 }
 
-/// Merges two sorted vectors with no common elements into one.
+/// Merges two sorted vectors with no common elements into one. Either
+/// side being empty returns the other unchanged, without copying.
 fn merge_disjoint(a: Vec<Tuple>, b: Vec<Tuple>) -> Vec<Tuple> {
     if a.is_empty() {
         return b;
@@ -200,51 +144,9 @@ fn merge_disjoint(a: Vec<Tuple>, b: Vec<Tuple>) -> Vec<Tuple> {
     }
 }
 
-/// Sorted iterator over a relation's tuples: a two-way interleave of
-/// the bulk and staged vectors (disjoint, so no equality case).
-#[derive(Debug, Clone)]
-pub struct Iter<'a> {
-    bulk: &'a [Tuple],
-    stage: &'a [Tuple],
-}
-
-impl<'a> Iterator for Iter<'a> {
-    type Item = &'a Tuple;
-
-    fn next(&mut self) -> Option<&'a Tuple> {
-        match (self.bulk.first(), self.stage.first()) {
-            (Some(b), Some(s)) => {
-                if b < s {
-                    self.bulk = &self.bulk[1..];
-                    Some(b)
-                } else {
-                    self.stage = &self.stage[1..];
-                    Some(s)
-                }
-            }
-            (Some(b), None) => {
-                self.bulk = &self.bulk[1..];
-                Some(b)
-            }
-            (None, Some(s)) => {
-                self.stage = &self.stage[1..];
-                Some(s)
-            }
-            (None, None) => None,
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.bulk.len() + self.stage.len();
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for Iter<'_> {}
-
 impl<'a> IntoIterator for &'a Relation {
     type Item = &'a Tuple;
-    type IntoIter = Iter<'a>;
+    type IntoIter = std::slice::Iter<'a, Tuple>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
@@ -254,6 +156,26 @@ impl<'a> IntoIterator for &'a Relation {
 mod tests {
     use super::*;
 
+    fn ints(r: &Relation) -> Vec<i64> {
+        r.iter()
+            .map(|t| match t.get(0) {
+                crate::value::Value::Int(i) => i,
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
+    /// The same values in ascending, descending and interleaved order.
+    fn orders(n: i64) -> [Vec<i64>; 3] {
+        [
+            (0..n).collect(),
+            (0..n).rev().collect(),
+            (0..n)
+                .map(|v| if v % 2 == 0 { v / 2 } else { n - 1 - v / 2 })
+                .collect(),
+        ]
+    }
+
     #[test]
     fn insert_dedups() {
         let mut r = Relation::new(2);
@@ -261,6 +183,17 @@ mod tests {
         assert!(!r.insert(Tuple::ints(&[1, 2])));
         assert!(r.insert(Tuple::ints(&[2, 1])));
         assert_eq!(r.len(), 2);
+        // Every value re-inserted after a full build, in every order.
+        for order in orders(50) {
+            let mut r = Relation::new(1);
+            for &v in &order {
+                assert!(r.insert(Tuple::ints(&[v])));
+            }
+            for &v in order.iter().rev() {
+                assert!(!r.insert(Tuple::ints(&[v])), "duplicate {v} re-admitted");
+            }
+            assert_eq!(r.len(), 50);
+        }
     }
 
     #[test]
@@ -278,23 +211,25 @@ mod tests {
         assert!(r.remove(&Tuple::ints(&[7])));
         assert!(!r.remove(&Tuple::ints(&[7])));
         assert!(r.is_empty());
+        // Removals at both ends and in the middle keep the rest sorted.
+        let mut r = Relation::new(1);
+        r.insert_batch((0..10).map(|v| Tuple::ints(&[v])));
+        for v in [9, 0, 5] {
+            assert!(r.remove(&Tuple::ints(&[v])));
+            assert!(!r.contains(&Tuple::ints(&[v])));
+        }
+        assert_eq!(ints(&r), vec![1, 2, 3, 4, 6, 7, 8]);
     }
 
     #[test]
     fn sorted_is_deterministic() {
-        let mut r = Relation::new(1);
-        for v in [5, 1, 3, 2, 4] {
-            r.insert(Tuple::ints(&[v]));
+        for order in orders(41) {
+            let mut r = Relation::new(1);
+            for &v in &order {
+                r.insert(Tuple::ints(&[v]));
+            }
+            assert_eq!(ints(&r), (0..41).collect::<Vec<_>>());
         }
-        let sorted: Vec<i64> = r
-            .sorted()
-            .iter()
-            .map(|t| match t.get(0) {
-                crate::value::Value::Int(i) => i,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(sorted, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -306,58 +241,35 @@ mod tests {
     }
 
     #[test]
-    fn staged_inserts_stay_sorted_across_flushes() {
-        // Cross the stage capacity several times with an adversarial
-        // (descending, interleaved) order and check that iteration,
-        // lookups and removals all see one consistent sorted set.
-        let mut r = Relation::new(1);
-        let n = 3 * STAGE_CAP as i64 + 17;
-        for v in (0..n).rev() {
-            assert!(r.insert(Tuple::ints(&[v])));
-        }
-        for v in 0..n {
-            assert!(!r.insert(Tuple::ints(&[v])), "duplicate {v} re-admitted");
-        }
-        assert_eq!(r.len(), n as usize);
-        let got: Vec<i64> = r
-            .iter()
-            .map(|t| match t.get(0) {
-                crate::value::Value::Int(i) => i,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(got, (0..n).collect::<Vec<_>>());
-        assert!(r.remove(&Tuple::ints(&[n - 1])));
-        assert!(r.remove(&Tuple::ints(&[0])));
-        assert_eq!(r.len(), n as usize - 2);
-    }
-
-    #[test]
     fn insert_batch_counts_new_tuples_only() {
         let mut r = Relation::new(1);
         r.insert(Tuple::ints(&[2]));
         let added = r.insert_batch([4, 1, 2, 4, 3].map(|v| Tuple::ints(&[v])));
         assert_eq!(added, 3, "2 was present, 4 duplicated in the batch");
         assert_eq!(r.len(), 4);
-        // A batched build equals the same set built one at a time.
-        let mut serial = Relation::new(1);
-        for v in [1, 2, 3, 4] {
-            serial.insert(Tuple::ints(&[v]));
-        }
-        assert_eq!(r, serial);
         assert_eq!(r.insert_batch(std::iter::empty()), 0);
-    }
-
-    #[test]
-    fn equality_ignores_the_stage_split() {
-        let mut batched = Relation::new(1);
-        batched.insert_batch((0..10).map(|v| Tuple::ints(&[v])));
-        let mut staged = Relation::new(1);
-        for v in (0..10).rev() {
-            staged.insert(Tuple::ints(&[v]));
+        // A batched build equals the same set built one at a time, from
+        // empty and on top of existing tuples, in every input order.
+        for order in orders(30) {
+            let mut serial = Relation::new(1);
+            for &v in &order {
+                serial.insert(Tuple::ints(&[v]));
+            }
+            let mut batched = Relation::new(1);
+            assert_eq!(
+                batched.insert_batch(order.iter().map(|&v| Tuple::ints(&[v]))),
+                30
+            );
+            assert_eq!(batched, serial);
+            let mut topped = Relation::new(1);
+            topped.insert_batch(order[..10].iter().map(|&v| Tuple::ints(&[v])));
+            assert_eq!(
+                topped.insert_batch(order.iter().map(|&v| Tuple::ints(&[v]))),
+                20
+            );
+            assert_eq!(topped, serial);
+            serial.remove(&Tuple::ints(&[5]));
+            assert_ne!(batched, serial);
         }
-        assert_eq!(batched, staged);
-        staged.remove(&Tuple::ints(&[5]));
-        assert_ne!(batched, staged);
     }
 }

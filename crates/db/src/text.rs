@@ -16,7 +16,8 @@
 
 use crate::database::{Database, Fact};
 use crate::tuple::Tuple;
-use crate::value::{Interner, Value};
+use crate::value::{Interner, Sym, Value};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parse failure with its 1-based line number.
@@ -103,12 +104,16 @@ pub fn parse_fact_line(
     Ok((Fact::new(rel, Tuple::from(values)), weight))
 }
 
-/// Parses a whole database text (facts, comments, blank lines).
+/// Parses a whole database text (facts, comments, blank lines). The
+/// tuples are grouped by relation while reading, and each relation is
+/// then built with one batch insert, so loading is `O(n log n)`.
 ///
 /// # Errors
-/// Returns the first [`ParseError`] encountered.
+/// Returns the first [`ParseError`] encountered, including a fact whose
+/// arity differs from earlier facts of the same relation.
 pub fn parse_database(text: &str, interner: &mut Interner) -> Result<ParsedDatabase, ParseError> {
     let mut out = ParsedDatabase::default();
+    let mut by_rel: BTreeMap<Sym, Vec<Tuple>> = BTreeMap::new();
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
         let line = match raw.split_once('#') {
@@ -119,10 +124,25 @@ pub fn parse_database(text: &str, interner: &mut Interner) -> Result<ParsedDatab
             continue;
         }
         let (fact, weight) = parse_fact_line(line, lineno, interner)?;
+        let tuples = by_rel.entry(fact.rel).or_default();
+        if let Some(first) = tuples.first().filter(|t| t.arity() != fact.tuple.arity()) {
+            return Err(err(
+                lineno,
+                format!(
+                    "relation {} has arity {} here but arity {} on earlier facts",
+                    interner.resolve(fact.rel),
+                    fact.tuple.arity(),
+                    first.arity()
+                ),
+            ));
+        }
         if let Some(w) = weight {
             out.weights.push((fact.clone(), w));
         }
-        out.database.insert(fact);
+        tuples.push(fact.tuple);
+    }
+    for (rel, tuples) in by_rel {
+        out.database.insert_tuples(rel, tuples);
     }
     Ok(out)
 }
@@ -186,6 +206,12 @@ mod tests {
         assert!(e.message.contains("empty relation name"));
         let e = parse_database("R(1, 2\n", &mut i).unwrap_err();
         assert!(e.message.contains("')'"));
+        // A relation keeps the arity of its first fact.
+        let e = parse_database("R(1, 2)\nR(1)\n", &mut i).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("arity"), "{e}");
+        let e = parse_database("R()\nS(1)\n# gap\nR(3, 4)\n", &mut i).unwrap_err();
+        assert_eq!(e.line, 4);
     }
 
     #[test]

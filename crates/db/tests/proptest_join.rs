@@ -17,7 +17,7 @@ fn reference_matches(db: &Database, pattern: &Pattern) -> BTreeSet<Vec<Value>> {
     let relations: Vec<Vec<&hq_db::Tuple>> = pattern
         .atoms
         .iter()
-        .map(|a| db.relation(a.rel).map(|r| r.sorted()).unwrap_or_default())
+        .map(|a| db.relation(a.rel).into_iter().flatten().collect())
         .collect();
     let mut picks = vec![0usize; pattern.atoms.len()];
     'outer: loop {

@@ -420,12 +420,13 @@ impl EncodedDb {
     /// Exact staleness guard: the encoding records each relation's
     /// [`Database::version`] at encode time, so *any* effective
     /// mutation since — growth, shrinkage, or an interior same-size
-    /// swap — is caught in `O(1)`, in release builds too. The row
-    /// count stays always-on as a second line of defence against
-    /// mutations that bypass the counters (e.g. through the `&mut
-    /// Relation` that [`Database::declare`] hands out); debug builds
-    /// additionally re-encode every tuple as a belt-and-braces check
-    /// that equal versions really do imply equal codes.
+    /// swap — is caught in `O(1)`, in release builds too. `Database`
+    /// hands out no `&mut Relation`, so every mutation bumps a counter;
+    /// the row count stays always-on anyway, as a second line of
+    /// defence should a mutation path that skips the counter ever
+    /// appear. Debug builds additionally re-encode every tuple as a
+    /// belt-and-braces check that equal versions really do imply equal
+    /// codes.
     fn check_fresh(&self, sym: Sym, enc: &EncodedRel, db: &Database) {
         assert_eq!(
             db.version(sym),
